@@ -220,7 +220,7 @@ type StackTrack struct {
 
 	// masks holds the per-operation scan track masks (see elide.go); nil
 	// means every word is scanned.
-	masks map[int]dataflow.TrackMask
+	masks map[int]*dataflow.TrackMask
 
 	threads [64]*tstate
 

@@ -7,6 +7,7 @@ import (
 	"stacktrack/internal/cost"
 	"stacktrack/internal/mem"
 	"stacktrack/internal/prog"
+	"stacktrack/internal/prog/dataflow"
 	"stacktrack/internal/rng"
 	"stacktrack/internal/sched"
 	"stacktrack/internal/topo"
@@ -480,6 +481,42 @@ func TestScanSkipsRetryWhenOperationChanged(t *testing.T) {
 	}
 	if w.st.ThreadStats(0).ScanRestarts != 0 {
 		t.Fatal("scan retried although the victim's operation completed (Alg. 1 line 25)")
+	}
+}
+
+// TestScanAllocsIndependentOfVictims: a scan's Go allocations are a fixed
+// per-scan cost. Inspecting more victims — each resolving its operation's
+// track mask — must not allocate, in either scan variant.
+func TestScanAllocsIndependentOfVictims(t *testing.T) {
+	mask := dataflow.TrackMask{FrameWords: 4, Frame: []bool{true, false, true, false}}
+	mask.Regs[4] = true
+	for _, hashed := range []bool{false, true} {
+		allocs := func(victims int) float64 {
+			w := newWorld(t, 8, Config{HashedScan: hashed})
+			w.st.SetMasks(map[int]dataflow.TrackMask{0: mask})
+			scanner := w.ts[0]
+			for _, v := range w.ts[1 : victims+1] {
+				fakeActive(w.m, v, 8)
+			}
+			// Only the last victim holds the object, in a tracked frame
+			// slot, so the per-pointer walk inspects every victim and the
+			// object is never freed.
+			obj := w.al.Alloc(0, 4)
+			w.m.Poke(w.ts[victims].StackBase+6, uint64(obj))
+			w.st.Retire(scanner, obj)
+			w.st.scanAndFreeSync(scanner) // hand the scratch buffers back
+			n := testing.AllocsPerRun(50, func() { w.st.scanAndFreeSync(scanner) })
+			if w.st.PendingFrees(scanner) != 1 || !w.al.IsAllocated(obj) {
+				t.Fatalf("hashed=%v victims=%d: held object not deferred", hashed, victims)
+			}
+			if w.st.TotalStats().ElidedWords == 0 {
+				t.Fatalf("hashed=%v victims=%d: mask never applied", hashed, victims)
+			}
+			return n
+		}
+		if one, seven := allocs(1), allocs(7); seven > one {
+			t.Errorf("hashed=%v: %.0f allocs per scan with 7 victims vs %.0f with 1", hashed, seven, one)
+		}
 	}
 }
 

@@ -33,7 +33,10 @@ import (
 // consulted only by scans that start after the call; installing them at
 // setup (before threads run) is the intended use.
 func (st *StackTrack) SetMasks(masks map[int]dataflow.TrackMask) {
-	st.masks = masks
+	st.masks = make(map[int]*dataflow.TrackMask, len(masks))
+	for id, mk := range masks {
+		st.masks[id] = &mk
+	}
 }
 
 // victimMask resolves the scan mask for victim v given its sampled
@@ -44,15 +47,15 @@ func (st *StackTrack) victimMask(act uint64, sp int) (m *dataflow.TrackMask, fba
 	if st.masks == nil || act == 0 {
 		return nil, 0
 	}
-	mk, ok := st.masks[int(act)-1]
-	if !ok {
+	mk := st.masks[int(act)-1]
+	if mk == nil {
 		return nil, 0
 	}
 	fbase = sp - mk.FrameWords
 	if fbase < 0 || len(mk.Frame) != mk.FrameWords {
 		return nil, 0
 	}
-	return &mk, fbase
+	return mk, fbase
 }
 
 // maskTracksStack reports whether stack word pos must be inspected under

@@ -10,6 +10,10 @@ package core
 // other threads between chunks; the split-counter / operation-counter retry
 // protocol (Alg. 1 lines 14–29) therefore executes against genuinely
 // concurrent segment commits, exactly as in the paper.
+//
+// Both scan variants — the per-pointer scan below and the hashed one of
+// §5.2 (hashscan.go) — drive the same victimWalk and differ only in the
+// wordSink that consumes each scanned word.
 
 import (
 	"stacktrack/internal/prog/dataflow"
@@ -31,25 +35,40 @@ type scanner interface {
 	step(t *sched.Thread) bool
 }
 
-// scanState is the resumable state of one SCAN_AND_FREE invocation.
-type scanState struct {
+// wordSink consumes the words a victimWalk inspects. visit returns true to
+// stop the walk on the current victim (a hit).
+type wordSink interface {
+	visit(w uint64) bool
+}
+
+// walkResult is what one victimWalk.inspect chunk produced.
+type walkResult uint8
+
+const (
+	walkBusy walkResult = iota // a chunk ran; the pass is not over
+	walkHit                    // the sink stopped the walk on the current victim
+	walkDone                   // every victim has been inspected
+)
+
+// victimWalk is one resumable pass over every victim's exposed stack,
+// registers and (slow path active) reference set, with the Alg. 1 line-27
+// verify-and-restart step. It also carries the scan's free-set snapshot
+// and completion flag, which both variants share.
+type victimWalk struct {
 	st      *StackTrack
 	ptrs    []word.Addr
-	found   []bool
 	victims []*sched.Thread
 
 	slowActive bool
+	ended      bool
 
-	pi, ti  int
+	ti      int
 	phase   int
 	operPre uint64
 	htmPre  uint64
 	sp      int
 	pos     int
 	refsLen int
-	hit     bool
-	freed   uint64
-	ended   bool
 
 	// mask is the victim's current-operation track mask (nil: scan all);
 	// fbase is the stack index of the operation's frame base.
@@ -66,6 +85,169 @@ func (st *StackTrack) startScan(t *sched.Thread) scanner {
 	return st.startPtrScan(t)
 }
 
+// newWalk snapshots the thread's free set into its borrowed pointer
+// buffer and records the scan start.
+func (st *StackTrack) newWalk(t *sched.Thread) victimWalk {
+	ts := st.state(t)
+	w := victimWalk{
+		st:         st,
+		ptrs:       append(ts.scanPtrs[:0], ts.freeSet...),
+		victims:    st.sc.Threads(),
+		slowActive: st.slowCount > 0,
+	}
+	ts.scanPtrs = nil
+	ts.freeSet = ts.freeSet[:0]
+	st.c.scans.Inc(t.ID)
+	t.Trace(sched.TraceScanStart, uint64(len(w.ptrs)))
+	return w
+}
+
+// rewind starts a fresh pass from the first victim.
+func (w *victimWalk) rewind() {
+	w.ti = 0
+	w.phase = phasePickVictim
+}
+
+// sampleFrame reads victim v's split counter and exposed stack pointer and
+// rewinds to the bottom of its stack.
+func (w *victimWalk) sampleFrame(t, v *sched.Thread) {
+	w.htmPre = t.LoadPlain(v.SplitsAddr())
+	w.sp = min(int(t.LoadPlain(v.SPAddr())), sched.StackWords)
+	w.pos = 0
+	w.phase = phaseStack
+}
+
+// inspect advances the walk by one chunk, handing every scanned word to
+// sink.
+func (w *victimWalk) inspect(t *sched.Thread, sink wordSink) walkResult {
+	if w.ti >= len(w.victims) {
+		return walkDone
+	}
+	v := w.victims[w.ti]
+	c := &w.st.c
+	hit := false
+
+	switch w.phase {
+	case phasePickVictim:
+		// Idle threads hold no operation-local references; skip them
+		// (§6 "a scan does not always need to consider all threads").
+		act := t.LoadPlain(v.ActivityAddr())
+		if v.Done() || act == 0 {
+			w.ti++
+			return walkBusy
+		}
+		w.operPre = t.LoadPlain(v.OperCntAddr())
+		w.sampleFrame(t, v)
+		w.mask, w.fbase = w.st.victimMask(act, w.sp)
+		c.scanTargets.Inc(t.ID)
+
+	case phaseStack:
+		end := min(w.pos+w.st.cfg.ScanChunkWords, w.sp)
+		loaded := 0
+		for ; w.pos < end; w.pos++ {
+			if w.mask != nil && !maskTracksStack(w.mask, w.fbase, w.pos) {
+				c.elidedWords.Inc(t.ID)
+				continue
+			}
+			x := t.LoadPlain(v.StackBase + word.Addr(w.pos))
+			loaded++
+			c.scannedWords.Inc(t.ID)
+			c.scannedDepth.Inc(t.ID)
+			if sink.visit(x) {
+				hit = true
+				break
+			}
+		}
+		// Without a mask the seed behavior is preserved: a full chunk is
+		// charged even when clamped. With one, only inspected words cost.
+		if w.mask != nil {
+			chargeWords(t, loaded)
+		} else {
+			chargeWords(t, w.st.cfg.ScanChunkWords)
+		}
+		if !hit && w.pos >= w.sp {
+			w.phase = phaseRegs
+		}
+
+	case phaseRegs:
+		loaded := 0
+		for i := 0; i < sched.NumRegs; i++ {
+			if w.mask != nil && !maskTracksReg(w.mask, i) {
+				c.elidedWords.Inc(t.ID)
+				continue
+			}
+			x := t.LoadPlain(v.RegsBase + word.Addr(i))
+			loaded++
+			c.scannedWords.Inc(t.ID)
+			if sink.visit(x) {
+				hit = true
+				break
+			}
+		}
+		if w.mask != nil {
+			chargeWords(t, loaded)
+		} else {
+			chargeWords(t, sched.NumRegs)
+		}
+		if hit {
+			break
+		}
+		if w.slowActive {
+			w.refsLen = min(int(t.LoadPlain(v.RefsLenAddr())), sched.RefsWords)
+			w.pos = 0
+			w.phase = phaseRefs
+		} else {
+			w.phase = phaseVerify
+		}
+
+	case phaseRefs:
+		end := min(w.pos+w.st.cfg.ScanChunkWords, w.refsLen)
+		for ; w.pos < end; w.pos++ {
+			x := t.LoadPlain(v.RefsBase + word.Addr(w.pos))
+			c.scannedWords.Inc(t.ID)
+			if sink.visit(x) {
+				hit = true
+				break
+			}
+		}
+		chargeWords(t, w.st.cfg.ScanChunkWords)
+		if !hit && w.pos >= w.refsLen {
+			w.phase = phaseVerify
+		}
+
+	case phaseVerify:
+		htmPost := t.LoadPlain(v.SplitsAddr())
+		operPost := t.LoadPlain(v.OperCntAddr())
+		if w.operPre == operPost && w.htmPre != htmPost {
+			// The victim committed a segment while we were looking: its
+			// stack may have changed under us — restart the inspection of
+			// this thread (Alg. 1 line 27). Whatever the sink took from the
+			// torn inspection stays: it can only defer a free.
+			c.scanRestarts.Inc(t.ID)
+			w.sampleFrame(t, v)
+			// Same operation invocation (operPre == operPost), but the
+			// frame geometry may have changed with sp.
+			w.mask, w.fbase = w.st.victimMask(t.LoadPlain(v.ActivityAddr()), w.sp)
+			return walkBusy
+		}
+		w.ti++
+		w.phase = phasePickVictim
+	}
+	if hit {
+		return walkHit
+	}
+	return walkBusy
+}
+
+// scanState is the per-pointer (Algorithm 1) scan: one victim walk per
+// free-set pointer, stopped at the first word that references it.
+type scanState struct {
+	victimWalk
+	found []bool
+	pi    int
+	freed uint64
+}
+
 // startPtrScan prepares the per-pointer (Algorithm 1) scan, borrowing the
 // thread's scratch buffers instead of allocating per scan.
 func (st *StackTrack) startPtrScan(t *sched.Thread) *scanState {
@@ -76,21 +258,9 @@ func (st *StackTrack) startPtrScan(t *sched.Thread) *scanState {
 		found = make([]bool, n)
 	}
 	found = found[:n]
-	for i := range found {
-		found[i] = false
-	}
-	s := &scanState{
-		st:         st,
-		ptrs:       append(ts.scanPtrs[:0], ts.freeSet...),
-		found:      found,
-		victims:    st.sc.Threads(),
-		slowActive: st.slowCount > 0,
-	}
-	ts.scanPtrs, ts.scanFound = nil, nil
-	ts.freeSet = ts.freeSet[:0]
-	st.c.scans.Inc(t.ID)
-	t.Trace(sched.TraceScanStart, uint64(len(s.ptrs)))
-	return s
+	clear(found)
+	ts.scanFound = nil
+	return &scanState{victimWalk: st.newWalk(t), found: found}
 }
 
 // matches reports whether scanned word w references object ptr: either
@@ -107,6 +277,12 @@ func (s *scanState) matches(w uint64, ptr word.Addr) bool {
 	return false
 }
 
+// visit is the per-pointer sink: a word referencing the current pointer
+// stops the walk.
+func (s *scanState) visit(w uint64) bool {
+	return s.matches(w, s.ptrs[s.pi])
+}
+
 // step advances the scan by one chunk. It returns true when the whole scan
 // has completed (all pointers dispatched).
 func (s *scanState) step(t *sched.Thread) bool {
@@ -114,157 +290,15 @@ func (s *scanState) step(t *sched.Thread) bool {
 		s.end(t)
 		return true
 	}
-	ptr := s.ptrs[s.pi]
-
-	switch s.phase {
-	case phasePickVictim:
-		if s.ti >= len(s.victims) {
-			s.finishPtr(t)
-			if s.pi >= len(s.ptrs) {
-				s.end(t)
-				return true
-			}
-			return false
+	switch s.inspect(t, s) {
+	case walkHit:
+		s.markFound(t)
+	case walkDone:
+		s.finishPtr(t)
+		if s.pi >= len(s.ptrs) {
+			s.end(t)
+			return true
 		}
-		v := s.victims[s.ti]
-		// Idle threads hold no operation-local references; skip them
-		// (§6 "a scan does not always need to consider all threads").
-		act := t.LoadPlain(v.ActivityAddr())
-		if v.Done() || act == 0 {
-			s.ti++
-			return false
-		}
-		s.operPre = t.LoadPlain(v.OperCntAddr())
-		s.htmPre = t.LoadPlain(v.SplitsAddr())
-		s.sp = int(t.LoadPlain(v.SPAddr()))
-		if s.sp > sched.StackWords {
-			s.sp = sched.StackWords
-		}
-		s.mask, s.fbase = s.st.victimMask(act, s.sp)
-		s.pos = 0
-		s.hit = false
-		s.st.c.scanTargets.Inc(t.ID)
-		s.phase = phaseStack
-
-	case phaseStack:
-		v := s.victims[s.ti]
-		end := s.pos + s.st.cfg.ScanChunkWords
-		if end > s.sp {
-			end = s.sp
-		}
-		loaded := 0
-		for ; s.pos < end; s.pos++ {
-			if s.mask != nil && !maskTracksStack(s.mask, s.fbase, s.pos) {
-				s.st.c.elidedWords.Inc(t.ID)
-				continue
-			}
-			w := t.LoadPlain(v.StackBase + word.Addr(s.pos))
-			loaded++
-			s.st.c.scannedWords.Inc(t.ID)
-			s.st.c.scannedDepth.Inc(t.ID)
-			if s.matches(w, ptr) {
-				s.hit = true
-				break
-			}
-		}
-		// Without a mask the seed behavior is preserved: a full chunk is
-		// charged even when clamped. With one, only inspected words cost.
-		if s.mask != nil {
-			chargeWords(t, loaded)
-		} else {
-			chargeWords(t, s.st.cfg.ScanChunkWords)
-		}
-		if s.hit {
-			s.markFound(t)
-			return false
-		}
-		if s.pos >= s.sp {
-			s.phase = phaseRegs
-		}
-
-	case phaseRegs:
-		v := s.victims[s.ti]
-		loaded := 0
-		for i := 0; i < sched.NumRegs; i++ {
-			if s.mask != nil && !maskTracksReg(s.mask, i) {
-				s.st.c.elidedWords.Inc(t.ID)
-				continue
-			}
-			w := t.LoadPlain(v.RegsBase + word.Addr(i))
-			loaded++
-			s.st.c.scannedWords.Inc(t.ID)
-			if s.matches(w, ptr) {
-				s.hit = true
-				break
-			}
-		}
-		if s.mask != nil {
-			chargeWords(t, loaded)
-		} else {
-			chargeWords(t, sched.NumRegs)
-		}
-		if s.hit {
-			s.markFound(t)
-			return false
-		}
-		if s.slowActive {
-			s.refsLen = int(t.LoadPlain(s.victims[s.ti].RefsLenAddr()))
-			if s.refsLen > sched.RefsWords {
-				s.refsLen = sched.RefsWords
-			}
-			s.pos = 0
-			s.phase = phaseRefs
-		} else {
-			s.phase = phaseVerify
-		}
-
-	case phaseRefs:
-		v := s.victims[s.ti]
-		end := s.pos + s.st.cfg.ScanChunkWords
-		if end > s.refsLen {
-			end = s.refsLen
-		}
-		for ; s.pos < end; s.pos++ {
-			w := t.LoadPlain(v.RefsBase + word.Addr(s.pos))
-			s.st.c.scannedWords.Inc(t.ID)
-			if s.matches(w, ptr) {
-				s.hit = true
-				break
-			}
-		}
-		chargeWords(t, s.st.cfg.ScanChunkWords)
-		if s.hit {
-			s.markFound(t)
-			return false
-		}
-		if s.pos >= s.refsLen {
-			s.phase = phaseVerify
-		}
-
-	case phaseVerify:
-		v := s.victims[s.ti]
-		htmPost := t.LoadPlain(v.SplitsAddr())
-		operPost := t.LoadPlain(v.OperCntAddr())
-		if s.operPre == operPost && s.htmPre != htmPost {
-			// The victim committed a segment while we were looking:
-			// its stack may have changed under us — restart the
-			// inspection of this thread (Alg. 1 line 27).
-			s.st.c.scanRestarts.Inc(t.ID)
-			s.htmPre = t.LoadPlain(v.SplitsAddr())
-			s.sp = int(t.LoadPlain(v.SPAddr()))
-			if s.sp > sched.StackWords {
-				s.sp = sched.StackWords
-			}
-			// Same operation invocation (operPre == operPost), but the
-			// frame geometry may have changed with sp.
-			s.mask, s.fbase = s.st.victimMask(t.LoadPlain(v.ActivityAddr()), s.sp)
-			s.pos = 0
-			s.hit = false
-			s.phase = phaseStack
-			return false
-		}
-		s.ti++
-		s.phase = phasePickVictim
 	}
 	return false
 }
@@ -277,7 +311,8 @@ func (s *scanState) markFound(t *sched.Thread) {
 	ts := s.st.state(t)
 	s.st.c.falseHeld.Inc(t.ID)
 	ts.freeSet = append(ts.freeSet, s.ptrs[s.pi])
-	s.advance()
+	s.pi++
+	s.rewind()
 }
 
 // finishPtr completes the current pointer after every victim was inspected
@@ -286,7 +321,8 @@ func (s *scanState) finishPtr(t *sched.Thread) {
 	t.FreeNow(s.ptrs[s.pi])
 	s.st.c.freed.Inc(t.ID)
 	s.freed++
-	s.advance()
+	s.pi++
+	s.rewind()
 }
 
 // end emits the scan-completion event exactly once and returns the
@@ -298,12 +334,6 @@ func (s *scanState) end(t *sched.Thread) {
 		ts := s.st.state(t)
 		ts.scanPtrs, ts.scanFound = s.ptrs[:0], s.found[:0]
 	}
-}
-
-func (s *scanState) advance() {
-	s.pi++
-	s.ti = 0
-	s.phase = phasePickVictim
 }
 
 // scanAndFreeSync runs a complete scan without yielding — used by Drain at

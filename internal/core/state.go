@@ -99,28 +99,30 @@ func copyTable(t [][]int32) [][]int32 {
 	return out
 }
 
+// snap copies out the walk's share of a ScanSnap.
+func (w *victimWalk) snap() *ScanSnap {
+	return &ScanSnap{
+		Ptrs:       append([]word.Addr(nil), w.ptrs...),
+		SlowActive: w.slowActive,
+		Ti:         w.ti, Phase: w.phase,
+		OperPre: w.operPre, HtmPre: w.htmPre,
+		SP: w.sp, Pos: w.pos, RefsLen: w.refsLen,
+		Ended: w.ended,
+	}
+}
+
+// saveScan copies out an in-flight scan. Hit is always false: a hit is
+// consumed within the step that found it.
 func saveScan(s scanner) *ScanSnap {
 	switch sc := s.(type) {
 	case *scanState:
-		return &ScanSnap{
-			Ptrs:       append([]word.Addr(nil), sc.ptrs...),
-			Found:      append([]bool(nil), sc.found...),
-			SlowActive: sc.slowActive,
-			Pi:         sc.pi, Ti: sc.ti, Phase: sc.phase,
-			OperPre: sc.operPre, HtmPre: sc.htmPre,
-			SP: sc.sp, Pos: sc.pos, RefsLen: sc.refsLen,
-			Hit: sc.hit, Freed: sc.freed, Ended: sc.ended,
-		}
+		snap := sc.snap()
+		snap.Found = append([]bool(nil), sc.found...)
+		snap.Pi, snap.Freed = sc.pi, sc.freed
+		return snap
 	case *hashedScanState:
-		snap := &ScanSnap{
-			Hashed:     true,
-			Ptrs:       append([]word.Addr(nil), sc.ptrs...),
-			SlowActive: sc.slowActive,
-			Ti:         sc.ti, Phase: sc.phase,
-			OperPre: sc.operPre, HtmPre: sc.htmPre,
-			SP: sc.sp, Pos: sc.pos, RefsLen: sc.refsLen,
-			Ended: sc.ended,
-		}
+		snap := sc.snap()
+		snap.Hashed = true
 		for p := range sc.held {
 			snap.Held = append(snap.Held, p)
 		}
@@ -137,33 +139,28 @@ func (st *StackTrack) restoreScan(snap *ScanSnap) scanner {
 	if snap == nil {
 		return nil
 	}
+	w := victimWalk{
+		st:         st,
+		ptrs:       append([]word.Addr(nil), snap.Ptrs...),
+		victims:    st.sc.Threads(),
+		slowActive: snap.SlowActive,
+		ended:      snap.Ended,
+		ti:         snap.Ti, phase: snap.Phase,
+		operPre: snap.OperPre, htmPre: snap.HtmPre,
+		sp: snap.SP, pos: snap.Pos, refsLen: snap.RefsLen,
+	}
 	if snap.Hashed {
-		sc := &hashedScanState{
-			st:         st,
-			ptrs:       append([]word.Addr(nil), snap.Ptrs...),
-			victims:    st.sc.Threads(),
-			slowActive: snap.SlowActive,
-			ti:         snap.Ti, phase: snap.Phase,
-			operPre: snap.OperPre, htmPre: snap.HtmPre,
-			sp: snap.SP, pos: snap.Pos, refsLen: snap.RefsLen,
-			held:  make(map[word.Addr]struct{}, len(snap.Held)),
-			ended: snap.Ended,
-		}
+		sc := &hashedScanState{victimWalk: w, held: make(map[word.Addr]struct{}, len(snap.Held))}
 		for _, p := range snap.Held {
 			sc.held[p] = struct{}{}
 		}
 		return sc
 	}
 	return &scanState{
-		st:         st,
-		ptrs:       append([]word.Addr(nil), snap.Ptrs...),
+		victimWalk: w,
 		found:      append([]bool(nil), snap.Found...),
-		victims:    st.sc.Threads(),
-		slowActive: snap.SlowActive,
-		pi:         snap.Pi, ti: snap.Ti, phase: snap.Phase,
-		operPre: snap.OperPre, htmPre: snap.HtmPre,
-		sp: snap.SP, pos: snap.Pos, refsLen: snap.RefsLen,
-		hit: snap.Hit, freed: snap.Freed, ended: snap.Ended,
+		pi:         snap.Pi,
+		freed:      snap.Freed,
 	}
 }
 
