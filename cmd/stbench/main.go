@@ -59,7 +59,6 @@ func main() {
 		profile    = flag.Bool("profile", false, "enable the virtual-cycle profiler on every point")
 		checkEff   = flag.Bool("check-effects", false, "arm the effect-soundness oracle on every point (declared effects vs executed accesses)")
 		noElide    = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
-		hostLegacy = flag.Bool("host-legacy", false, "force the pre-optimization host code paths (simulated results are identical; only host speed changes)")
 	)
 	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -102,7 +101,6 @@ func main() {
 	opts.Profile = *profile
 	opts.CheckEffects = *checkEff
 	opts.NoScanElide = *noElide
-	opts.HostLegacy = *hostLegacy
 	if *threads != "" {
 		parsed, err := cli.ParseIntList(*threads)
 		if err != nil {

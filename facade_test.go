@@ -105,3 +105,12 @@ func TestFacadeSimBadScheme(t *testing.T) {
 		t.Fatal("unknown scheme accepted")
 	}
 }
+
+func TestFacadeSimOversizedTopology(t *testing.T) {
+	tp := stacktrack.Haswell8Way()
+	tp.Cores = 64/tp.ThreadsPerCore + 1
+	_, err := stacktrack.NewSim(stacktrack.SimConfig{Topology: tp})
+	if err == nil || !strings.Contains(err.Error(), "hardware contexts") {
+		t.Fatalf("%d-context topology: err = %v, want a hardware-context limit error", tp.Contexts(), err)
+	}
+}

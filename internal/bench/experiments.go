@@ -35,11 +35,6 @@ type Options struct {
 	// scans walk every frame word and register as the seed did.
 	// Experiments that own the ablation (E16) override it per variant.
 	NoScanElide bool
-	// HostLegacy forces the pre-optimization host code paths on every
-	// point (see Config.hostLegacy). Simulated results are bit-identical
-	// either way; only host wall-clock differs. Deliberately excluded
-	// from ExperimentKey.
-	HostLegacy bool
 	// Collect, if non-nil, observes every completed point as it finishes:
 	// the series label (scheme or variant), the thread count, and the
 	// full Result. The JSON exporter hooks in here.
@@ -97,7 +92,6 @@ func (o Options) cfg(structure, scheme string, threads int) Config {
 		Sanitize:      o.Sanitize,
 		CheckEffects:  o.CheckEffects,
 		NoScanElide:   o.NoScanElide,
-		hostLegacy:    o.HostLegacy,
 	}
 }
 

@@ -139,15 +139,6 @@ type Config struct {
 	// in Result.San.Effects. Observes only — simulated results are
 	// bit-identical with it on or off.
 	CheckEffects bool
-
-	// hostLegacy forces the pre-optimization host code paths (scheduler
-	// runnable rescan, slow plain memory accesses, no memory reuse). It
-	// changes nothing simulated — the E17 host-throughput experiment uses
-	// it to measure the optimized paths against their legacy equivalents.
-	// Unexported on purpose: it is invisible to ConfigKey/content
-	// addressing (encoding/json skips unexported fields), exactly because
-	// it cannot change a single simulated bit. Set via Options.HostLegacy.
-	hostLegacy bool
 }
 
 // WithDefaults fills unset fields with the paper's parameters.
@@ -361,16 +352,15 @@ func newInstance(cfg Config) (*instance, error) {
 	if cfg.Threads > mem.MaxThreads {
 		return nil, fmt.Errorf("bench: %d threads exceeds the %d-thread limit", cfg.Threads, mem.MaxThreads)
 	}
+	if n := cfg.Topology.Contexts(); n > sched.MaxContexts {
+		return nil, fmt.Errorf("bench: topology has %d hardware contexts, at most %d supported", n, sched.MaxContexts)
+	}
 
 	in := &instance{cfg: cfg}
 	in.reg = metrics.NewRegistry()
-	in.m = mem.New(mem.Config{Words: cfg.MemWords, Topology: cfg.Topology, Metrics: in.reg, NoReuse: cfg.hostLegacy})
+	in.m = mem.New(mem.Config{Words: cfg.MemWords, Topology: cfg.Topology, Metrics: in.reg})
 	in.al = alloc.New(in.m)
 	in.sc = sched.NewScheduler(in.m, cfg.Topology, cfg.Seed)
-	if cfg.hostLegacy {
-		in.m.SetLegacyPlain(true)
-		in.sc.SetLegacyScan(true)
-	}
 	if cfg.Profile {
 		in.prof = metrics.NewProfiler()
 	}

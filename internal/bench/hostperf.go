@@ -4,20 +4,17 @@ package bench
 // simulated machine; this one measures the simulator itself: how many
 // scheduling decisions (basic blocks retired, blocked-wait polls, and
 // preemption decisions — the unit of interpreter work) per host second
-// the core sustains on the Figure 1 list sweep. It runs the identical
-// sweep twice — once with the pre-optimization host code paths forced
-// (Config.hostLegacy) and once on the optimized paths — verifies the two
-// produce bit-identical simulated results, and reports host wall-clock
-// metrics for both plus the speedup.
+// the core sustains on the Figure 1 list sweep. It runs the sweep once
+// and reports absolute host wall-clock metrics; regressions are judged
+// against archived history (sthist -gate), and simulated bit-identity is
+// guarded separately by the committed BENCH baselines and the golden
+// digest test.
 //
 // Simulated packages may not read host clocks (the simclock analyzer
 // enforces it), so the wall clock arrives by injection: the hosting CLI
 // installs HostClock before invoking the experiment.
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // HostClock, when non-nil, returns monotonic host time in nanoseconds.
 // It is injected by host-side front-ends (cmd/stbench); simulation code
@@ -31,101 +28,45 @@ var hostSelftestSchemes = []string{
 	SchemeOriginal, SchemeHazards, SchemeEpoch, SchemeStackTrack, SchemeDTA,
 }
 
-// simDigest is the part of a point the two modes must agree on bit for
-// bit: everything simulated, nothing host-derived.
-func simDigest(series string, threads int, res *Result) ([]byte, error) {
-	return json.Marshal(struct {
-		Series  string
-		Threads int
-		Ops     uint64
-		Metrics any
-	}{series, threads, res.Ops, res.Metrics})
-}
-
-// HostSelftest regenerates E17: the list sweep timed under both host
-// modes. The emitted points are per-mode aggregates — Ops carries total
-// scheduling decisions, Throughput carries host decisions ("blocks") per
-// second so the standard throughput gate watches host speed — with the
-// detailed rates in derived.host_*.
+// HostSelftest regenerates E17: the list sweep timed on the host. The
+// emitted point is an aggregate — Ops carries total scheduling decisions,
+// Throughput carries host decisions ("blocks") per second so the standard
+// throughput gate watches host speed — with the detailed rates in
+// derived.host_*.
 func HostSelftest(o Options) (*Table, error) {
 	if HostClock == nil {
 		return nil, fmt.Errorf("bench: E17 measures host wall-clock and needs an injected clock; run it through stbench")
 	}
 	o = o.WithDefaults()
 
-	type modeOut struct {
-		name    string
-		ns      int64
-		blocks  uint64
-		digests [][]byte
+	var blocks uint64
+	so := o
+	so.Collect = func(_ string, _ int, res *Result) { blocks += res.Decisions }
+	start := HostClock()
+	if _, err := throughputSweep(StructList, hostSelftestSchemes, so); err != nil {
+		return nil, err
 	}
-	var modes []modeOut
-	for _, legacy := range []bool{true, false} {
-		mode := modeOut{name: "optimized"}
-		if legacy {
-			mode.name = "legacy"
-		}
-		mo := o
-		mo.HostLegacy = legacy
-		var digestErr error
-		mo.Collect = func(series string, threads int, res *Result) {
-			mode.blocks += res.Decisions
-			d, err := simDigest(series, threads, res)
-			if err != nil && digestErr == nil {
-				digestErr = err
-			}
-			mode.digests = append(mode.digests, d)
-		}
-		start := HostClock()
-		if _, err := throughputSweep(StructList, hostSelftestSchemes, mo); err != nil {
-			return nil, err
-		}
-		mode.ns = HostClock() - start
-		if digestErr != nil {
-			return nil, digestErr
-		}
-		if mode.ns <= 0 {
-			mode.ns = 1 // a broken injected clock must not divide by zero
-		}
-		o.progress("host-selftest %s: %d decisions in %.0f ms", mode.name, mode.blocks, float64(mode.ns)/1e6)
-		modes = append(modes, mode)
+	ns := HostClock() - start
+	if ns <= 0 {
+		ns = 1 // a broken injected clock must not divide by zero
 	}
+	o.progress("host-selftest: %d decisions in %.0f ms", blocks, float64(ns)/1e6)
 
-	// The optimizations' contract: both modes simulated the same machine.
-	leg, opt := &modes[0], &modes[1]
-	if len(leg.digests) != len(opt.digests) {
-		return nil, fmt.Errorf("bench: E17 modes produced %d vs %d points", len(leg.digests), len(opt.digests))
-	}
-	for i := range leg.digests {
-		if string(leg.digests[i]) != string(opt.digests[i]) {
-			return nil, fmt.Errorf("bench: E17 point %d differs between legacy and optimized host paths — the optimization changed simulated behavior", i)
-		}
-	}
-
-	speedup := float64(leg.ns) / float64(opt.ns)
-	tb := &Table{Cols: []string{"mode", "host_ms", "blocks", "blocks_per_sec", "ns_per_block", "speedup"}}
-	for _, m := range []*modeOut{leg, opt} {
-		bps := float64(m.blocks) * 1e9 / float64(m.ns)
-		nspb := float64(m.ns) / float64(m.blocks)
-		host := map[string]float64{
-			"host_ms":             float64(m.ns) / 1e6,
+	bps := float64(blocks) * 1e9 / float64(ns)
+	nspb := float64(ns) / float64(blocks)
+	o.collect("list", 0, &Result{
+		Ops:        blocks,
+		Throughput: bps,
+		HostDerived: map[string]float64{
+			"host_ms":             float64(ns) / 1e6,
 			"host_blocks_per_sec": bps,
 			"host_ns_per_block":   nspb,
-		}
-		sp := ""
-		if m == opt {
-			host["host_speedup"] = speedup
-			sp = fmt.Sprintf("%.2f", speedup)
-		}
-		// A synthetic aggregate point per mode: Throughput carries host
-		// blocks/sec so the existing throughput gate watches host speed.
-		o.collect(m.name, 0, &Result{
-			Ops:         m.blocks,
-			Throughput:  bps,
-			HostDerived: host,
-		})
-		tb.AddRow(m.name, f0(float64(m.ns)/1e6), fmt.Sprintf("%d", m.blocks), f0(bps), fmt.Sprintf("%.1f", nspb), sp)
+		},
+	})
+	tb := &Table{
+		Title: "E17 — Host throughput selftest (list sweep)",
+		Cols:  []string{"sweep", "host_ms", "blocks", "blocks_per_sec", "ns_per_block"},
 	}
-	tb.Title = fmt.Sprintf("E17 — Host throughput selftest (list sweep, %.2fx speedup)", speedup)
+	tb.AddRow("list", f0(float64(ns)/1e6), fmt.Sprintf("%d", blocks), f0(bps), fmt.Sprintf("%.1f", nspb))
 	return tb, nil
 }

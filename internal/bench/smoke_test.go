@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"stacktrack/internal/cost"
+	"stacktrack/internal/sched"
+	"stacktrack/internal/topo"
 )
 
 // smokeCfg is a small, fast configuration for integration smoke tests.
@@ -64,5 +67,17 @@ func TestSmokeRBTree(t *testing.T) {
 	}
 	if res.Ops == 0 || res.Hits == 0 {
 		t.Fatalf("ops=%d hits=%d", res.Ops, res.Hits)
+	}
+}
+
+// TestOversizedTopologyRejected: a machine with more hardware contexts
+// than the scheduler supports is a configuration error, not a panic.
+func TestOversizedTopologyRejected(t *testing.T) {
+	cfg := smokeCfg(StructList, SchemeOriginal, 2)
+	cfg.Topology = topo.Haswell8Way()
+	cfg.Topology.Cores = sched.MaxContexts/cfg.Topology.ThreadsPerCore + 1
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "hardware contexts") {
+		t.Fatalf("%d-context topology: err = %v, want a hardware-context limit error", cfg.Topology.Contexts(), err)
 	}
 }

@@ -2,8 +2,8 @@ package mem
 
 // Host-performance guards for the non-transactional fast path: the
 // branch-lean ReadPlain/WritePlain route must not allocate in steady
-// state, and the slow route must produce identical values and coherence
-// effects (the bit-identity sweep in internal/bench covers the latter
+// state, and it must produce the same simulated results as the observed
+// slow route (the golden digest sweep in internal/bench covers the latter
 // end to end; here we pin the allocation contract and benchmark the
 // paths in isolation).
 
@@ -16,7 +16,7 @@ import (
 // TestPlainFastPathZeroAlloc pins the tentpole contract: a plain read or
 // write on the fast path performs zero Go allocations.
 func TestPlainFastPathZeroAlloc(t *testing.T) {
-	m := New(Config{Words: 1 << 14, NoReuse: true})
+	m := New(Config{Words: 1 << 14})
 	// Touch the region once so the high-watermark and counter lanes are
 	// established; steady state begins after that.
 	for a := word.Addr(0); a < 1<<12; a++ {
@@ -35,10 +35,10 @@ func TestPlainFastPathZeroAlloc(t *testing.T) {
 }
 
 // TestFastPathDisabledUnderObserver verifies the devirtualization seam:
-// installing an observer (or forcing legacy mode) routes accesses off the
-// fast path, and removing it routes them back.
+// installing an observer or starting a transaction routes accesses off
+// the fast path, and removing it routes them back.
 func TestFastPathDisabledUnderObserver(t *testing.T) {
-	m := New(Config{Words: 1 << 12, NoReuse: true})
+	m := New(Config{Words: 1 << 12})
 	if !m.fastPlain {
 		t.Fatal("fresh memory should start on the fast path")
 	}
@@ -50,11 +50,6 @@ func TestFastPathDisabledUnderObserver(t *testing.T) {
 	if !m.fastPlain {
 		t.Fatal("fast path must come back when the observer is removed")
 	}
-	m.SetLegacyPlain(true)
-	if m.fastPlain {
-		t.Fatal("fast path must be off in legacy mode")
-	}
-	m.SetLegacyPlain(false)
 	tx := m.Begin(0)
 	if m.fastPlain {
 		t.Fatal("fast path must be off while a transaction is live")
@@ -69,14 +64,31 @@ func TestFastPathDisabledUnderObserver(t *testing.T) {
 
 type countingObserver struct{ Observer }
 
+// nopObserver ignores every notification; installing it measures the
+// slow (observed) plain-access route without any observer work.
+type nopObserver struct{}
+
+func (nopObserver) PlainRead(int, word.Addr)            {}
+func (nopObserver) PlainWrite(int, word.Addr)           {}
+func (nopObserver) SyncRMW(int, word.Addr, bool)        {}
+func (nopObserver) TxBegin(int)                         {}
+func (nopObserver) TxRead(int, word.Addr)               {}
+func (nopObserver) TxWrite(int, word.Addr)              {}
+func (nopObserver) TxCommit(int)                        {}
+func (nopObserver) SyncHint(int, word.Addr, bool, bool) {}
+
+// plainModes are the two plain-access routes: the fast path, and the slow
+// path forced by a no-op observer.
+var plainModes = []struct {
+	name string
+	obs  Observer
+}{{"fast", nil}, {"observed", nopObserver{}}}
+
 func BenchmarkPlainRead(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"fast", false}, {"legacy", true}} {
+	for _, mode := range plainModes {
 		b.Run(mode.name, func(b *testing.B) {
-			m := New(Config{Words: 1 << 14, NoReuse: true})
-			m.SetLegacyPlain(mode.legacy)
+			m := New(Config{Words: 1 << 14})
+			m.SetObserver(mode.obs)
 			for a := word.Addr(0); a < 1<<12; a++ {
 				m.WritePlain(0, a, uint64(a))
 			}
@@ -90,13 +102,10 @@ func BenchmarkPlainRead(b *testing.B) {
 }
 
 func BenchmarkPlainWrite(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"fast", false}, {"legacy", true}} {
+	for _, mode := range plainModes {
 		b.Run(mode.name, func(b *testing.B) {
-			m := New(Config{Words: 1 << 14, NoReuse: true})
-			m.SetLegacyPlain(mode.legacy)
+			m := New(Config{Words: 1 << 14})
+			m.SetObserver(mode.obs)
 			for a := word.Addr(0); a < 1<<12; a++ {
 				m.WritePlain(0, a, uint64(a))
 			}
@@ -112,7 +121,7 @@ func BenchmarkPlainWrite(b *testing.B) {
 // BenchmarkTxSegment measures a short transactional segment (begin, a few
 // reads and buffered writes, commit) — the HTM hot path.
 func BenchmarkTxSegment(b *testing.B) {
-	m := New(Config{Words: 1 << 14, NoReuse: true})
+	m := New(Config{Words: 1 << 14})
 	for a := word.Addr(0); a < 1<<10; a++ {
 		m.WritePlain(0, a, uint64(a))
 	}

@@ -75,11 +75,6 @@ type Config struct {
 	// of it, which obtain it via Memory.Metrics) records into. nil
 	// creates a private registry, so standalone uses stay unchanged.
 	Metrics *metrics.Registry
-	// NoReuse bypasses the package's released-memory pool: the Memory is
-	// always freshly allocated (and Release becomes a no-op for it). The
-	// host-legacy measurement mode uses this to reproduce pre-pool
-	// allocation behavior.
-	NoReuse bool
 }
 
 // Memory is the simulated memory system. All methods take the simulated
@@ -117,26 +112,16 @@ type Memory struct {
 	c   memCounters
 	obs Observer
 
-	// fastPlain caches "no live transaction, no observer, fast path
-	// enabled": the single branch the plain-access fast path tests.
-	// refreshFast recomputes it at every liveTx/obs/legacy transition.
-	fastPlain   bool
-	legacyPlain bool // host knob: force the original slow plain-access path
-	noReuse     bool // this Memory never enters the released-memory pool
+	// fastPlain caches "no live transaction, no observer": the single
+	// branch the plain-access fast path tests. refreshFast recomputes it
+	// at every liveTx/obs transition.
+	fastPlain bool
 }
 
 // refreshFast recomputes the plain-access fast-path gate. Call after any
-// change to liveTx, obs, or legacyPlain.
+// change to liveTx or obs.
 func (m *Memory) refreshFast() {
-	m.fastPlain = m.liveTx == 0 && m.obs == nil && !m.legacyPlain
-}
-
-// SetLegacyPlain forces (on=true) the original slow path for plain
-// accesses — the host-legacy measurement mode. Simulated behavior is
-// identical either way; only host work differs.
-func (m *Memory) SetLegacyPlain(on bool) {
-	m.legacyPlain = on
-	m.refreshFast()
+	m.fastPlain = m.liveTx == 0 && m.obs == nil
 }
 
 // New creates a Memory. It panics if the configuration is invalid, since a
@@ -154,15 +139,13 @@ func New(cfg Config) *Memory {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if !cfg.NoReuse {
-		if m := takePooled(cfg.Words); m != nil {
-			m.topology = cfg.Topology
-			m.pressure = cfg.Pressure
-			m.reg = cfg.Metrics
-			m.c = newMemCounters(cfg.Metrics)
-			m.refreshFast()
-			return m
-		}
+	if m := takePooled(cfg.Words); m != nil {
+		m.topology = cfg.Topology
+		m.pressure = cfg.Pressure
+		m.reg = cfg.Metrics
+		m.c = newMemCounters(cfg.Metrics)
+		m.refreshFast()
+		return m
 	}
 	lines := (cfg.Words + word.LineWords - 1) / word.LineWords
 	m := &Memory{
@@ -175,7 +158,6 @@ func New(cfg Config) *Memory {
 		pressure:    cfg.Pressure,
 		reg:         cfg.Metrics,
 		c:           newMemCounters(cfg.Metrics),
-		noReuse:     cfg.NoReuse,
 	}
 	m.refreshFast()
 	return m
@@ -211,7 +193,7 @@ func takePooled(words int) *Memory {
 // memory actually touched, not memory configured. The caller must be done
 // with the Memory and everything built on it (allocator, transactions).
 func (m *Memory) Release() {
-	if m == nil || m.noReuse {
+	if m == nil {
 		return
 	}
 	hi := int(m.hi)
@@ -236,7 +218,6 @@ func (m *Memory) Release() {
 	}
 	m.liveTx = 0
 	m.obs = nil
-	m.legacyPlain = false
 	m.pressure = noPressure{}
 	m.refreshFast()
 	memPool.mu.Lock()

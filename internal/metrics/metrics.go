@@ -42,10 +42,6 @@ func (c *Counter) Add(tid int, d uint64) { c.lanes[tid] += d }
 // Lane reports tid's lane without merging.
 func (c *Counter) Lane(tid int) uint64 { return c.lanes[tid] }
 
-// SetLane overwrites tid's lane. Exists so legacy ResetStats-style APIs
-// that zero a single thread's statistics can stay exact views.
-func (c *Counter) SetLane(tid int, v uint64) { c.lanes[tid] = v }
-
 // Value merges all lanes.
 func (c *Counter) Value() uint64 {
 	var s uint64

@@ -2,11 +2,11 @@ package sched
 
 // Host-performance guards for the decision loop: the incrementally
 // maintained ready structure must make zero Go allocations per decision
-// in steady state, and must stay pick-for-pick identical to the legacy
-// per-decision rescan (the bench-level bit-identity sweep covers whole
-// runs; here the two paths race each other step by step in isolation).
+// in steady state, and must stay pick-for-pick identical to the reference
+// per-decision rescan (reference_test.go).
 
 import (
+	"fmt"
 	"testing"
 
 	"stacktrack/internal/alloc"
@@ -15,11 +15,10 @@ import (
 	"stacktrack/internal/topo"
 )
 
-func newPerfWorld(nThreads int, legacy bool) *Scheduler {
-	m := mem.New(mem.Config{Words: 1 << 18, NoReuse: true})
+func newPerfWorld(nThreads int) *Scheduler {
+	m := mem.New(mem.Config{Words: 1 << 18})
 	a := alloc.New(m)
 	sc := NewScheduler(m, topo.Haswell8Way(), 1)
-	sc.SetLegacyScan(legacy)
 	for i := 0; i < nThreads; i++ {
 		th := NewThread(i, m, a, uint64(i)+100)
 		sc.AddThread(th, &counterStepper{cost: cost.Cycles(90 + 7*i)})
@@ -30,7 +29,7 @@ func newPerfWorld(nThreads int, legacy bool) *Scheduler {
 // TestDecisionLoopZeroAlloc pins the tentpole contract: advancing the
 // schedule performs zero steady-state Go allocations per decision.
 func TestDecisionLoopZeroAlloc(t *testing.T) {
-	sc := newPerfWorld(8, false)
+	sc := newPerfWorld(8)
 	horizon := cost.Cycles(50_000)
 	sc.Run(horizon) // establish counter lanes and buffers
 	allocs := testing.AllocsPerRun(100, func() {
@@ -43,56 +42,55 @@ func TestDecisionLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReadyStructureMatchesLegacyScan advances an optimized and a legacy
-// scheduler over the same workload in lockstep and demands identical
+// TestReadyStructureMatchesLegacyScan advances Run and the reference
+// rescan model over the same workload in lockstep and demands identical
 // decision counts and thread clocks at every horizon — including under
 // oversubscription, where rotation side effects are the risky part.
 func TestReadyStructureMatchesLegacyScan(t *testing.T) {
-	for _, threads := range []int{4, 8, 24} { // 24 > 16 contexts: oversubscribed
-		fast := newPerfWorld(threads, false)
-		slow := newPerfWorld(threads, true)
+	for _, threads := range []int{4, 8, 24} { // 24 > 8 contexts: oversubscribed
+		fast := newPerfWorld(threads)
+		ref := newPerfWorld(threads)
 		for h := cost.Cycles(10_000); h <= 200_000; h += 10_000 {
 			fast.Run(h)
-			slow.Run(h)
-			if fast.Decisions() != slow.Decisions() {
-				t.Fatalf("threads=%d horizon=%d: %d decisions optimized vs %d legacy",
-					threads, h, fast.Decisions(), slow.Decisions())
-			}
-			for i := range fast.threads {
-				if fast.threads[i].vtime != slow.threads[i].vtime {
-					t.Fatalf("threads=%d horizon=%d: thread %d clock %d vs %d",
-						threads, h, i, fast.threads[i].vtime, slow.threads[i].vtime)
-				}
-			}
+			refRun(ref, h)
+			sameSchedule(t, fmt.Sprintf("threads=%d horizon=%d", threads, h), fast, ref)
 		}
 	}
 }
 
-func BenchmarkDecisionLoop(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"optimized", false}, {"legacy", true}} {
-		for _, threads := range []int{8, 24} {
-			name := mode.name
-			if threads > 16 {
-				name += "-oversubscribed"
-			}
-			b.Run(name, func(b *testing.B) {
-				sc := newPerfWorld(threads, mode.legacy)
-				horizon := cost.Cycles(10_000)
-				sc.Run(horizon)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					horizon += 5_000
-					sc.Run(horizon)
-				}
-				b.StopTimer()
-				if n := sc.Decisions(); n > 0 {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/decision")
-				}
-			})
+// TestOversizedTopologyPanics: the ready structure's dirty mask covers 64
+// contexts; a larger topology is rejected at construction.
+func TestOversizedTopologyPanics(t *testing.T) {
+	tp := topo.Haswell8Way()
+	tp.Cores = MaxContexts/tp.ThreadsPerCore + 1
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewScheduler accepted %d contexts", tp.Contexts())
 		}
+	}()
+	NewScheduler(mem.New(mem.Config{Words: 1 << 12}), tp, 1)
+}
+
+func BenchmarkDecisionLoop(b *testing.B) {
+	for _, threads := range []int{8, 24} {
+		name := fmt.Sprintf("%dt", threads)
+		if threads > 8 {
+			name += "-oversubscribed"
+		}
+		b.Run(name, func(b *testing.B) {
+			sc := newPerfWorld(threads)
+			horizon := cost.Cycles(10_000)
+			sc.Run(horizon)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				horizon += 5_000
+				sc.Run(horizon)
+			}
+			b.StopTimer()
+			if n := sc.Decisions(); n > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/decision")
+			}
+		})
 	}
 }

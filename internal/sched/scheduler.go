@@ -18,6 +18,10 @@ type Stepper interface {
 	Step(t *Thread) bool
 }
 
+// MaxContexts is the largest topology (in hardware contexts) a Scheduler
+// supports: the ready structure tracks dirty contexts in one 64-bit mask.
+const MaxContexts = 64
+
 // blockedPollCost is the virtual cost of one poll of a blocked thread's
 // wake condition (a spin-wait iteration with a pause instruction).
 const blockedPollCost cost.Cycles = 400
@@ -78,16 +82,15 @@ type Scheduler struct {
 	// horizon moves (once per Run call) — so instead of rescanning every
 	// context per decision, mutation sites mark their context dirty and
 	// only dirty contexts are re-evaluated, in ascending id order, before
-	// the next pick. Untouched contexts are pure no-ops under the legacy
-	// scan, so the side-effect sequence (horizon rotations, retirements)
-	// is bit-identical. occVT caches each ready context's occupant clock
-	// so DefaultPick scans a flat array instead of chasing pointers.
-	fastReady  bool // topology fits the 64-bit dirty mask
-	legacyScan bool // host knob: force the per-decision O(contexts) rescan
-	fastPick   bool // occVT is fresh (maintained while Run is in fast mode)
-	dirtyMask  uint64
-	ready      []bool
-	occVT      []cost.Cycles
+	// the next pick. Re-evaluating a clean context would be a pure no-op,
+	// so the side-effect sequence (horizon rotations, retirements) is the
+	// one a full per-decision rescan produces; the sched tests keep that
+	// rescan as a reference model. occVT caches each ready context's
+	// occupant clock so DefaultPick scans a flat array instead of chasing
+	// pointers.
+	dirtyMask uint64
+	ready     []bool
+	occVT     []cost.Cycles
 
 	// Sibling-activity cache: ctxLive[c] mirrors "context c's queue has a
 	// live occupant", coreLive[k] counts live contexts on core k. Both are
@@ -116,8 +119,14 @@ type Scheduler struct {
 }
 
 // NewScheduler creates a scheduler over m with the given topology and
-// registers itself as the memory's cache-pressure source.
+// registers itself as the memory's cache-pressure source. It panics if the
+// topology has more than MaxContexts hardware contexts, since no
+// simulation can run on it.
 func NewScheduler(m *mem.Memory, tp topo.Topology, seed uint64) *Scheduler {
+	n := tp.Contexts()
+	if n > MaxContexts {
+		panic(fmt.Sprintf("sched: topology has %d hardware contexts, at most %d supported", n, MaxContexts))
+	}
 	reg := m.Metrics()
 	s := &Scheduler{
 		M: m, Topo: tp, jitter: rng.New(seed),
@@ -126,10 +135,8 @@ func NewScheduler(m *mem.Memory, tp topo.Topology, seed uint64) *Scheduler {
 		ctrPolls:    reg.Counter("sched.blocked_polls"),
 		ctrCrashes:  reg.Counter("sched.crashes"),
 	}
-	n := tp.Contexts()
 	s.contexts = make([]*hwContext, n)
 	s.siblings = make([][]int, n)
-	s.fastReady = n <= 64
 	s.cands = make([]int, 0, n)
 	s.ready = make([]bool, n)
 	s.occVT = make([]cost.Cycles, n)
@@ -166,13 +173,6 @@ func (s *Scheduler) AddThread(t *Thread, st Stepper) {
 	s.setLive(ctx, !ctx.queue[0].done)
 	s.markDirty(ctx.id)
 }
-
-// SetLegacyScan forces the per-decision O(contexts) candidate rescan
-// instead of the incremental ready structure. Both produce bit-identical
-// schedules; the knob exists so the host-throughput selftest (bench E17)
-// and the bit-identity tests can measure and verify the optimized path
-// against the original one.
-func (s *Scheduler) SetLegacyScan(on bool) { s.legacyScan = on }
 
 func (s *Scheduler) markDirty(id int) { s.dirtyMask |= 1 << uint(id) }
 
@@ -271,24 +271,17 @@ func (s *Scheduler) SliceElapsed(ctx int) cost.Cycles {
 
 // DefaultPick is the built-in virtual-time rule: the candidate whose
 // occupant has the minimum virtual clock, ties broken by context id (cands
-// is ascending, so the first minimum wins).
+// is ascending, so the first minimum wins). It reads the occupant clocks
+// Run caches for ready contexts, so it is valid only inside Run (directly
+// or from a Policy's Pick) and only over ready contexts.
 func (s *Scheduler) DefaultPick(cands []int) int {
-	best := 0
-	if s.fastPick && len(cands) > 0 {
-		// Fast mode keeps every candidate's occupant clock in a flat
-		// array, so the min scan is one load per candidate instead of
-		// three dependent pointer dereferences.
-		bv := s.occVT[cands[0]]
-		for i := 1; i < len(cands); i++ {
-			if v := s.occVT[cands[i]]; v < bv {
-				bv, best = v, i
-			}
-		}
-		return best
+	if len(cands) == 0 {
+		return 0
 	}
+	best, bv := 0, s.occVT[cands[0]]
 	for i := 1; i < len(cands); i++ {
-		if s.contexts[cands[i]].queue[0].vtime < s.contexts[cands[best]].queue[0].vtime {
-			best = i
+		if v := s.occVT[cands[i]]; v < bv {
+			bv, best = v, i
 		}
 	}
 	return best
@@ -351,7 +344,7 @@ func (s *Scheduler) Crash(tid int) {
 		if q == t {
 			ctx.queue = append(ctx.queue[:i], ctx.queue[i+1:]...)
 			if i == 0 {
-				s.switchIn(ctx, 0)
+				s.switchIn(ctx)
 			}
 			break
 		}
@@ -389,42 +382,29 @@ func (s *Scheduler) Paused() bool { return s.pausedFlag }
 // repeatedly with increasing horizons (warmup, then measurement).
 func (s *Scheduler) Run(until cost.Cycles) {
 	s.pausedFlag = false
-	fast := s.fastReady && !s.legacyScan
-	s.fastPick = fast
-	if fast {
-		// The horizon moved (and anything may have mutated between Run
-		// calls): rebuild the ready set with a full ascending scan. This
-		// reproduces exactly the side effects the legacy scan would have
-		// had on its first iteration.
-		s.cands = s.cands[:0]
-		for i := range s.ready {
-			s.ready[i] = false
-		}
-		for i := range s.contexts {
-			s.refreshContext(i, until)
-		}
-		s.dirtyMask = 0
+	// The horizon moved (and anything may have mutated between Run calls):
+	// rebuild the ready set with a full ascending scan.
+	s.cands = s.cands[:0]
+	clear(s.ready)
+	for i := range s.contexts {
+		s.refreshContext(i, until)
 	}
+	s.dirtyMask = 0
 	for {
-		var cands []int
-		if fast {
-			if m := s.dirtyMask; m != 0 {
-				// Re-evaluate only the contexts touched since the last
-				// decision, in ascending id order — the same order (and
-				// therefore the same rotate/retire side-effect sequence)
-				// the legacy full scan produces, because clean contexts
-				// contribute no side effects.
-				for m != 0 {
-					id := bits.TrailingZeros64(m)
-					m &^= 1 << uint(id)
-					s.refreshContext(id, until)
-				}
-				s.dirtyMask = 0
+		if m := s.dirtyMask; m != 0 {
+			// Re-evaluate only the contexts touched since the last
+			// decision, in ascending id order — the same order (and
+			// therefore the same rotate/retire side-effect sequence) a
+			// full rescan produces, because clean contexts contribute no
+			// side effects.
+			for m != 0 {
+				id := bits.TrailingZeros64(m)
+				m &^= 1 << uint(id)
+				s.refreshContext(id, until)
 			}
-			cands = s.cands
-		} else {
-			cands = s.runnableContexts(until)
+			s.dirtyMask = 0
 		}
+		cands := s.cands
 		if len(cands) == 0 {
 			return
 		}
@@ -464,7 +444,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 				pre = s.DefaultPreempt(ctx.id)
 			}
 			if pre {
-				s.rotate(ctx, until)
+				s.rotate(ctx)
 				continue
 			}
 		}
@@ -496,7 +476,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 		before := t.vtime
 		if s.steppers[t.ID].Step(t) {
 			t.done = true
-			s.retireFromContext(ctx, until)
+			s.retireFromContext(ctx)
 			continue
 		}
 		// One sibling-activity lookup feeds both the HT-slowdown charge and
@@ -519,20 +499,6 @@ func (s *Scheduler) Run(until cost.Cycles) {
 	}
 }
 
-// runnableContexts collects the ids of every context with an occupant that
-// can step before the horizon, in ascending context order. (It shares the
-// side effects of runnable: finished and out-of-horizon occupants are
-// retired or rotated past while gathering.)
-func (s *Scheduler) runnableContexts(until cost.Cycles) []int {
-	s.cands = s.cands[:0]
-	for _, ctx := range s.contexts {
-		if s.runnable(ctx, until) {
-			s.cands = append(s.cands, ctx.id)
-		}
-	}
-	return s.cands
-}
-
 // runnable reports whether ctx has an occupant that can step before the
 // horizon, rotating past finished or out-of-horizon occupants so waiters
 // behind them still get CPU.
@@ -540,14 +506,14 @@ func (s *Scheduler) runnable(ctx *hwContext, until cost.Cycles) bool {
 	for len(ctx.queue) > 0 {
 		t := ctx.queue[0]
 		if t.done {
-			s.retireFromContext(ctx, until)
+			s.retireFromContext(ctx)
 			continue
 		}
 		if t.vtime >= until {
 			// Horizon reached for the occupant; let a waiter run if
 			// one still has budget.
 			if s.anyWaiterBelow(ctx, until) {
-				s.rotate(ctx, until)
+				s.rotate(ctx)
 				continue
 			}
 			return false
@@ -570,7 +536,7 @@ func (s *Scheduler) anyWaiterBelow(ctx *hwContext, until cost.Cycles) bool {
 // timer interrupt cleared the cache), it pays the switch cost and moves to
 // the back; the next thread switches in, its clock catching up to the
 // context's timeline — modelling the time it spent descheduled.
-func (s *Scheduler) rotate(ctx *hwContext, until cost.Cycles) {
+func (s *Scheduler) rotate(ctx *hwContext) {
 	out := ctx.queue[0]
 	s.M.AbortTx(out.ID, mem.Preempt)
 	out.Trace(TracePreempt, 0)
@@ -583,25 +549,25 @@ func (s *Scheduler) rotate(ctx *hwContext, until cost.Cycles) {
 	ctx.clock = maxCycles(ctx.clock, out.vtime)
 	copy(ctx.queue, ctx.queue[1:])
 	ctx.queue[len(ctx.queue)-1] = out
-	s.switchIn(ctx, until)
+	s.switchIn(ctx)
 	if s.obs != nil {
 		s.obs.ThreadHandoff(out.ID, s.OccupantID(ctx.id))
 	}
 }
 
 // retireFromContext removes a finished occupant and switches in the next.
-func (s *Scheduler) retireFromContext(ctx *hwContext, until cost.Cycles) {
+func (s *Scheduler) retireFromContext(ctx *hwContext) {
 	out := ctx.queue[0]
 	out.running = false
 	ctx.clock = maxCycles(ctx.clock, out.vtime)
 	ctx.queue = ctx.queue[1:]
-	s.switchIn(ctx, until)
+	s.switchIn(ctx)
 	if s.obs != nil {
 		s.obs.ThreadHandoff(out.ID, s.OccupantID(ctx.id))
 	}
 }
 
-func (s *Scheduler) switchIn(ctx *hwContext, until cost.Cycles) {
+func (s *Scheduler) switchIn(ctx *hwContext) {
 	s.markDirty(ctx.id)
 	if len(ctx.queue) == 0 {
 		s.setLive(ctx, false)
@@ -619,7 +585,6 @@ func (s *Scheduler) switchIn(ctx *hwContext, until cost.Cycles) {
 	in.running = true
 	ctx.sliceStart = in.vtime
 	ctx.clock = in.vtime
-	_ = until
 }
 
 // maybeSiblingEvict applies the probabilistic capacity-eviction term: when

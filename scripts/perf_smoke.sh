@@ -1,24 +1,22 @@
 #!/usr/bin/env sh
 # CI smoke for host performance (bench E17 + the committed baselines):
-# the host-path optimizations must change nothing simulated, and host
-# throughput must be tracked by the same changepoint machinery that
-# gates simulated throughput.
+# host-path work must change nothing simulated, and host throughput must
+# be tracked by the same changepoint machinery that gates simulated
+# throughput.
 #
 # Phase 1 — simulated bytes are sacred: regenerate the three committed
-# BENCH_<ID>.json baselines with the current (optimized) binary and
-# demand byte-identity. This is stronger than the counter-exact compare
-# the perf-gate job runs: not a single byte of simulated output may move
-# with host-path work.
+# BENCH_<ID>.json baselines with the current binary and demand
+# byte-identity. This is stronger than the counter-exact compare the
+# perf-gate job runs: not a single byte of simulated output may move with
+# host-path work.
 #
-# Phase 2 — host-throughput selftest: run E17, which executes the quick
-# list sweep under the legacy and optimized host paths, verifies the two
-# simulate the identical machine, and reports host blocks/sec. The
-# optimized path must actually be faster (a generous floor — CI runners
-# are noisy; the honest measured speedup is recorded in EXPERIMENTS.md).
+# Phase 2 — host-throughput selftest: run E17, which times the quick list
+# sweep and reports absolute host blocks/sec (the measured figures are
+# recorded in EXPERIMENTS.md).
 #
 # Phase 3 — changepoint gate: archive two more E17 runs as history in a
 # result store (internal/store), print the trend table to $PERF_REPORT,
-# and gate the head run with sthist. Host wall-clock jitters far more
+# and gate the phase-2 run with sthist. Host wall-clock jitters far more
 # than simulated counters, so the tolerance floor is generous
 # (-min-tol 0.5); the gate still must flag a synthetic 60% collapse.
 set -eu
@@ -42,16 +40,11 @@ done
 echo "OK: BENCH_E1a/E2b/E3 byte-identical"
 
 echo "== phase 2: E17 host-throughput selftest =="
-# E17 itself fails (exit 1) if legacy and optimized paths disagree on
-# one simulated bit, so reaching the speedup check proves bit-identity.
 ./bin/stbench -quick -run E17 -json "$TMP/host1.json"
-speedup=$(sed -n 's/.*"host_speedup": \([0-9.]*\).*/\1/p' "$TMP/host1.json" | head -1)
-[ -n "$speedup" ] || { echo "FAIL: no host_speedup in E17 output" >&2; exit 1; }
-awk "BEGIN { exit !($speedup >= 1.10) }" || {
-  echo "FAIL: host speedup $speedup < 1.10 — the optimized path is not pulling its weight" >&2
+grep -q '"host_blocks_per_sec"' "$TMP/host1.json" || {
+  echo "FAIL: no host_blocks_per_sec in E17 output" >&2
   exit 1
 }
-echo "OK: optimized host path is ${speedup}x the legacy path"
 
 echo "== phase 3: host metrics through the changepoint gate =="
 ./bin/stbench -quick -run E17 -json "$TMP/host2.json" >/dev/null

@@ -32,6 +32,8 @@
 package stacktrack
 
 import (
+	"fmt"
+
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/bench"
 	"stacktrack/internal/core"
@@ -222,6 +224,9 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = SchemeStackTrack
+	}
+	if n := cfg.Topology.Contexts(); n > sched.MaxContexts {
+		return nil, fmt.Errorf("stacktrack: topology has %d hardware contexts, at most %d supported", n, sched.MaxContexts)
 	}
 	m := mem.New(mem.Config{Words: cfg.MemWords, Topology: cfg.Topology})
 	al := alloc.New(m)
