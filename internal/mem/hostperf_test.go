@@ -143,3 +143,72 @@ func BenchmarkTxSegment(b *testing.B) {
 		}
 	}
 }
+
+// stackSegmentWords are the 33 words a StackTrack-shaped segment stores:
+// a stack frame spread over 7 lines.
+var stackSegmentWords = func() (ws [33]word.Addr) {
+	for w := range ws {
+		ws[w] = 4096 + word.Addr(w%7*word.LineWords+w/7)
+	}
+	return ws
+}()
+
+// txStackSegment runs one transactional segment shaped like a measured
+// StackTrack skip-list segment: 33 words stored over 7 lines, then 70
+// reads of which 49 forward from the buffer and 21 go to committed heap
+// words, then commit.
+func txStackSegment(m *Memory, i int) AbortReason {
+	tx := m.Begin(0)
+	for w, a := range stackSegmentWords {
+		if _, r := m.TxWrite(tx, a, uint64(i+w)); r != NoAbort {
+			return r
+		}
+	}
+	heap := word.Addr(i*24) & (1<<10 - 1)
+	for k := 0; k < 70; k++ {
+		a := heap + word.Addr(k)
+		if k%10 < 7 {
+			a = stackSegmentWords[k%len(stackSegmentWords)]
+		}
+		if _, _, r := m.TxRead(tx, a); r != NoAbort {
+			return r
+		}
+	}
+	return m.Commit(tx)
+}
+
+// TestTxStackSegmentZeroAlloc pins that a transactional segment performs
+// no Go allocation once the thread's descriptor has been warmed up.
+func TestTxStackSegmentZeroAlloc(t *testing.T) {
+	m := New(Config{Words: 1 << 14})
+	for i := 0; i < 4; i++ {
+		if r := txStackSegment(m, i); r != NoAbort {
+			t.Fatal(r)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if r := txStackSegment(m, 5); r != NoAbort {
+			t.Fatal(r)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("transactional segment allocated %.2f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkTxStackSegment measures the StackTrack-shaped segment of
+// txStackSegment: buffering, store-to-load forwarding and line-by-line
+// write-back.
+func BenchmarkTxStackSegment(b *testing.B) {
+	m := New(Config{Words: 1 << 14})
+	for a := word.Addr(0); a < 1<<11; a++ {
+		m.WritePlain(0, a, uint64(a))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := txStackSegment(m, i); r != NoAbort {
+			b.Fatal(r)
+		}
+	}
+}

@@ -88,6 +88,9 @@ type Memory struct {
 	// lineWriter[l] is tid+1 of the transaction owning line l for write,
 	// or 0.
 	lineWriter []int32
+	// lineSlot[l] is the index of line l in its write owner's Tx.lines;
+	// it is meaningful only while lineWriter[l] != 0.
+	lineSlot []int32
 
 	// Coherence-cost model (MESI-flavoured): sharers[l] has bit t set iff
 	// thread t has read line l since its last write; lastW[l] is tid+1 of
@@ -152,6 +155,7 @@ func New(cfg Config) *Memory {
 		words:       make([]uint64, cfg.Words),
 		lineReaders: make([]uint64, lines),
 		lineWriter:  make([]int32, lines),
+		lineSlot:    make([]int32, lines),
 		sharers:     make([]uint64, lines),
 		lastW:       make([]int32, lines),
 		topology:    cfg.Topology,
@@ -214,7 +218,8 @@ func (m *Memory) Release() {
 		tx.reason = NoAbort
 		tx.readLines = tx.readLines[:0]
 		tx.writeLines = tx.writeLines[:0]
-		tx.buf.reset()
+		tx.lines = tx.lines[:0]
+		tx.order = tx.order[:0]
 	}
 	m.liveTx = 0
 	m.obs = nil

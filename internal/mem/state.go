@@ -78,9 +78,11 @@ func (m *Memory) SaveState() *State {
 			ReadLines:  append([]uint64(nil), tx.readLines...),
 			WriteLines: append([]uint64(nil), tx.writeLines...),
 		}
-		for _, a := range tx.buf.order {
-			v, _ := tx.buf.get(a)
-			d.Writes = append(d.Writes, TxWriteState{Addr: a, Val: v})
+		for _, e := range tx.order {
+			b := &tx.lines[e>>word.LineShift]
+			off := e & (word.LineWords - 1)
+			a := word.Addr(b.line<<word.LineShift | uint64(off))
+			d.Writes = append(d.Writes, TxWriteState{Addr: a, Val: b.words[off]})
 		}
 		s.Txs = append(s.Txs, d)
 	}
@@ -124,11 +126,26 @@ func (m *Memory) RestoreState(s *State) {
 			reason:     d.Reason,
 			readLines:  append(make([]uint64, 0, 512), d.ReadLines...),
 			writeLines: append(make([]uint64, 0, 128), d.WriteLines...),
-			buf:        newWriteBuf(),
+			lines:      make([]lineBuf, 0, 32),
+			order:      make([]int32, 0, 256),
 		}
-		tx.buf.reset()
+		// Rebuild the buffer in store order, so lines come back in
+		// acquisition order. Only an active transaction owns its lines;
+		// a doomed or idle one's may belong to another transaction now.
 		for _, w := range d.Writes {
-			tx.buf.put(w.Addr, w.Val)
+			l := word.Line(w.Addr)
+			i := int32(len(tx.lines) - 1)
+			for i >= 0 && tx.lines[i].line != l {
+				i--
+			}
+			if i < 0 {
+				i = int32(len(tx.lines))
+				tx.lines = append(tx.lines, lineBuf{line: l})
+				if tx.state == TxActive {
+					m.lineSlot[l] = i
+				}
+			}
+			tx.store(i, w.Addr, w.Val)
 		}
 		m.txs[d.Tid] = tx
 		if tx.state == TxActive {
