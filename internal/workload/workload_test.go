@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -109,5 +112,63 @@ func TestSampleKeysProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceSampleKeys is the straightforward SampleKeys: Floyd's algorithm
+// over a Go map, then a sort. SampleKeys must return exactly its keys.
+func referenceSampleKeys(seed uint64, n int, keyRange uint64) []uint64 {
+	r := rng.New(seed)
+	chosen := make(map[uint64]struct{}, n)
+	for j := keyRange - uint64(n) + 1; j <= keyRange; j++ {
+		k := 1 + r.Uint64n(j)
+		if _, dup := chosen[k]; dup {
+			k = j
+		}
+		chosen[k] = struct{}{}
+	}
+	keys := make([]uint64, 0, n)
+	for k := range chosen {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+func TestSampleKeysMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 1000, 100000} {
+		un := uint64(n)
+		for _, keyRange := range []uint64{un, 2 * un, 2*un + 1, 1 << 40, 1 << 63} {
+			seeds := []uint64{0, 1, 7, 0xdeadbeef}
+			if n == 100000 {
+				seeds = seeds[:2]
+			}
+			for _, seed := range seeds {
+				got := SampleKeys(seed, n, keyRange)
+				if want := referenceSampleKeys(seed, n, keyRange); !slices.Equal(got, want) {
+					t.Fatalf("SampleKeys(%d, %d, %d) differs from the reference", seed, n, keyRange)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleKeysMaxRange covers keyRange = 2^64−1, where a loop that
+// counts j up to keyRange wraps to 0 and draws from an empty range.
+func TestSampleKeysMaxRange(t *testing.T) {
+	keys := SampleKeys(1, 3, math.MaxUint64)
+	if len(keys) != 3 || !slices.IsSorted(keys) || keys[0] == 0 || keys[0] == keys[1] || keys[1] == keys[2] {
+		t.Fatalf("SampleKeys(1, 3, MaxUint64) = %v, want 3 distinct sorted keys", keys)
+	}
+	if keys := SampleKeys(1, 0, math.MaxUint64); len(keys) != 0 {
+		t.Fatalf("SampleKeys(1, 0, MaxUint64) = %v, want none", keys)
+	}
+}
+
+// BenchmarkSampleKeys draws the tx-scan prefill: 100,000 keys of 200,000.
+func BenchmarkSampleKeys(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SampleKeys(uint64(i), 100000, 200000)
 	}
 }
