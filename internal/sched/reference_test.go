@@ -24,9 +24,9 @@ import (
 // retired or rotated past while gathering.)
 func runnableContexts(s *Scheduler, until cost.Cycles) []int {
 	s.cands = s.cands[:0]
-	for _, ctx := range s.contexts {
-		if s.runnable(ctx, until) {
-			s.cands = append(s.cands, ctx.id)
+	for id := range s.queues {
+		if s.runnable(id, until) {
+			s.cands = append(s.cands, id)
 		}
 	}
 	return s.cands
@@ -43,15 +43,15 @@ func refRun(s *Scheduler, until cost.Cycles) {
 		s.decisions++
 		best := 0
 		for i := 1; i < len(cands); i++ {
-			if s.contexts[cands[i]].queue[0].vtime < s.contexts[cands[best]].queue[0].vtime {
+			if s.queues[cands[i]][0].vtime < s.queues[cands[best]][0].vtime {
 				best = i
 			}
 		}
-		ctx := s.contexts[cands[best]]
-		t := ctx.queue[0]
+		id := cands[best]
+		t := s.queues[id][0]
 
-		if len(ctx.queue) > 1 && s.DefaultPreempt(ctx.id) {
-			s.rotate(ctx)
+		if len(s.queues[id]) > 1 && t.vtime-s.sliceStart[id] >= cost.TimesliceQuantum {
+			s.rotate(id)
 			continue
 		}
 
@@ -69,7 +69,7 @@ func refRun(s *Scheduler, until cost.Cycles) {
 				if t.Prof != nil {
 					t.Prof.AddPhase(metrics.PhaseBlocked, uint64(c))
 				}
-				ctx.clock = t.vtime
+				s.clock[id] = t.vtime
 				continue
 			}
 		}
@@ -77,7 +77,7 @@ func refRun(s *Scheduler, until cost.Cycles) {
 		before := t.vtime
 		if s.steppers[t.ID].Step(t) {
 			t.done = true
-			s.retireFromContext(ctx)
+			s.retireFromContext(id)
 			continue
 		}
 		sib := s.siblingLive(t.hw)
@@ -91,7 +91,7 @@ func refRun(s *Scheduler, until cost.Cycles) {
 		if sib {
 			s.maybeSiblingEvict(t)
 		}
-		ctx.clock = t.vtime
+		s.clock[id] = t.vtime
 	}
 }
 
@@ -112,8 +112,8 @@ func sameSchedule(t *testing.T, what string, got, want *Scheduler) {
 }
 
 // randomStepper charges a random cost per step and, at random, parks its
-// thread on a blocked wait (some of which never wake) or crashes another
-// thread. Its draws come from its own generator, so two schedulers running
+// thread on a blocked wait (some of which never wake), crashes another
+// thread or marks its own thread done. Its draws come from its own generator, so two schedulers running
 // identically seeded steppers in the same order see identical behavior.
 type randomStepper struct {
 	r     *rng.Rand
@@ -139,6 +139,8 @@ func (s *randomStepper) Step(t *Thread) bool {
 		if victim := s.r.Intn(len(s.sc.threads)); victim != t.ID {
 			s.sc.Crash(victim)
 		}
+	case k < 44:
+		t.SetDone() // finishes without reporting completion
 	}
 	return s.limit > 0 && s.steps >= s.limit
 }
@@ -163,9 +165,10 @@ func randomWorld(seed uint64, n int) *Scheduler {
 // TestRunMatchesReferenceRandomSchedules is the property test for the
 // incremental ready set: over random thread counts (1–40 on 8 contexts,
 // so up to 5-way oversubscription), random step costs, random blocked
-// waits, finishing and crashing threads, and random horizons (including
-// repeated ones), Run and the reference model agree on every decision
-// count and every thread clock after every horizon.
+// waits, finishing (also through SetDone) and crashing threads, and
+// random horizons (including repeated ones), Run and the reference model
+// agree on every decision count and every thread clock after every
+// horizon.
 func TestRunMatchesReferenceRandomSchedules(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := rng.New(seed * 0x9E3779B97F4A7C15)

@@ -26,17 +26,10 @@ const MaxContexts = 64
 // wake condition (a spin-wait iteration with a pause instruction).
 const blockedPollCost cost.Cycles = 400
 
-// hwContext models one hardware context (a hyperthread slot). Its queue
-// holds the software threads pinned to it; queue[0] is the current
-// occupant. Under oversubscription the scheduler rotates the queue with an
-// OS-like timeslice, aborting the outgoing thread's transaction — the
-// paper's "timer interrupt clears the cache".
-type hwContext struct {
-	id         int
-	queue      []*Thread
-	clock      cost.Cycles // virtual time of this context's timeline
-	sliceStart cost.Cycles
-}
+// notReady is the occupant clock recorded for a context that cannot step:
+// it loses every minimum-clock comparison, so the pick scans the dense
+// clock array without consulting the ready set.
+const notReady = ^cost.Cycles(0)
 
 // Policy decides scheduling: which runnable context steps next, and whether
 // the occupant of an oversubscribed context is preempted before it steps.
@@ -63,21 +56,41 @@ type Policy interface {
 // Scheduler interleaves simulated threads in virtual-time order. It is the
 // single driver of all simulated execution; nothing in the simulation runs
 // on more than one host goroutine.
+//
+// Each hardware context (a hyperthread slot) has a run queue of the
+// software threads pinned to it; queue[0] is the current occupant. Under
+// oversubscription the scheduler rotates the queue with an OS-like
+// timeslice, aborting the outgoing thread's transaction — the paper's
+// "timer interrupt clears the cache". The queue owns the order; everything
+// a decision reads about a context lives in dense arrays indexed by
+// context id, which are the single source of truth for that state: the
+// occupant, its clock while the context is ready, the context's timeline
+// and timeslice start, and how many sibling contexts host a live thread.
 type Scheduler struct {
 	M    *mem.Memory
 	Topo topo.Topology
 
 	threads  []*Thread
 	steppers []Stepper
-	contexts []*hwContext
-	siblings [][]int // per-context list of same-core context ids
+	queues   [][]*Thread // per-context run queue, occupant first
+	siblings [][]int     // per-context list of same-core context ids
 
 	jitter *rng.Rand
 	policy Policy
-	cands  []int // runnable-candidate buffer (ascending context ids)
+	cands  []int // ready context ids, ascending: the bits of readyMask
 
-	// Incrementally maintained ready structure. A context's runnability
-	// only changes when its occupant's virtual clock or its queue changes
+	// Per-context decision state. occ[c] is queue[0] (nil when empty);
+	// clock[c] is the context's timeline and sliceStart[c] the occupant's
+	// switch-in time; sibLive[c] counts the other contexts of c's core
+	// whose occupant is live (liveMask holds each context's own bit).
+	occ        []*Thread
+	clock      []cost.Cycles
+	sliceStart []cost.Cycles
+	sibLive    []int32
+	liveMask   uint64
+
+	// Incrementally maintained ready set. A context's runnability only
+	// changes when its occupant's virtual clock or its queue changes
 	// (step, blocked poll, rotate, retire, crash, AddThread) or when the
 	// horizon moves (once per Run call) — so instead of rescanning every
 	// context per decision, mutation sites mark their context dirty and
@@ -85,19 +98,12 @@ type Scheduler struct {
 	// the next pick. Re-evaluating a clean context would be a pure no-op,
 	// so the side-effect sequence (horizon rotations, retirements) is the
 	// one a full per-decision rescan produces; the sched tests keep that
-	// rescan as a reference model. occVT caches each ready context's
-	// occupant clock so DefaultPick scans a flat array instead of chasing
-	// pointers.
+	// rescan as a reference model. occVT[c] is the occupant's clock while
+	// bit c of readyMask is set and notReady otherwise, so the pick is a
+	// flat minimum over occVT.
 	dirtyMask uint64
-	ready     []bool
+	readyMask uint64
 	occVT     []cost.Cycles
-
-	// Sibling-activity cache: ctxLive[c] mirrors "context c's queue has a
-	// live occupant", coreLive[k] counts live contexts on core k. Both are
-	// maintained at every queue mutation, making SiblingActive O(1).
-	ctxLive  []bool
-	coreLive []int32
-	coreOf   []int32
 
 	// Decision counter and one-shot pause points (checkpoint support).
 	// decisions counts scheduling decisions — one per Run loop iteration
@@ -135,19 +141,16 @@ func NewScheduler(m *mem.Memory, tp topo.Topology, seed uint64) *Scheduler {
 		ctrPolls:    reg.Counter("sched.blocked_polls"),
 		ctrCrashes:  reg.Counter("sched.crashes"),
 	}
-	s.contexts = make([]*hwContext, n)
+	s.queues = make([][]*Thread, n)
 	s.siblings = make([][]int, n)
 	s.cands = make([]int, 0, n)
-	s.ready = make([]bool, n)
+	s.occ = make([]*Thread, n)
+	s.clock = make([]cost.Cycles, n)
+	s.sliceStart = make([]cost.Cycles, n)
+	s.sibLive = make([]int32, n)
 	s.occVT = make([]cost.Cycles, n)
-	s.ctxLive = make([]bool, n)
-	s.coreLive = make([]int32, tp.Cores)
-	s.coreOf = make([]int32, n)
 	for i := 0; i < n; i++ {
-		s.contexts[i] = &hwContext{id: i}
-		s.coreOf[i] = int32(tp.CoreOf(i))
-	}
-	for i := 0; i < n; i++ {
+		s.occVT[i] = notReady
 		for j := 0; j < n; j++ {
 			if i != j && tp.CoreOf(i) == tp.CoreOf(j) {
 				s.siblings[i] = append(s.siblings[i], j)
@@ -167,55 +170,51 @@ func (s *Scheduler) AddThread(t *Thread, st Stepper) {
 	t.hw = s.Topo.HWContextOf(t.ID)
 	s.threads = append(s.threads, t)
 	s.steppers = append(s.steppers, st)
-	ctx := s.contexts[t.hw]
-	ctx.queue = append(ctx.queue, t)
-	t.running = len(ctx.queue) == 1
-	s.setLive(ctx, !ctx.queue[0].done)
-	s.markDirty(ctx.id)
+	id := t.hw
+	s.queues[id] = append(s.queues[id], t)
+	t.running = len(s.queues[id]) == 1
+	s.occ[id] = s.queues[id][0]
+	s.setLive(id, !s.occ[id].done)
+	s.markDirty(id)
 }
 
 func (s *Scheduler) markDirty(id int) { s.dirtyMask |= 1 << uint(id) }
 
-// setLive maintains the sibling-activity cache for one context.
-func (s *Scheduler) setLive(ctx *hwContext, live bool) {
-	if s.ctxLive[ctx.id] != live {
-		s.ctxLive[ctx.id] = live
-		if live {
-			s.coreLive[s.coreOf[ctx.id]]++
-		} else {
-			s.coreLive[s.coreOf[ctx.id]]--
-		}
+// setLive records whether context id hosts a live occupant, keeping its
+// siblings' live-sibling counts in step.
+func (s *Scheduler) setLive(id int, live bool) {
+	bit := uint64(1) << uint(id)
+	if (s.liveMask&bit != 0) == live {
+		return
+	}
+	s.liveMask ^= bit
+	d := int32(-1)
+	if live {
+		d = 1
+	}
+	for _, j := range s.siblings[id] {
+		s.sibLive[j] += d
 	}
 }
 
 // refreshContext re-evaluates one context's runnability (with runnable's
 // usual side effects: retiring finished occupants, rotating past
-// out-of-horizon ones) and patches the candidate list and occupant-clock
-// cache to match.
+// out-of-horizon ones) and records the result in readyMask and occVT.
 func (s *Scheduler) refreshContext(id int, until cost.Cycles) {
-	ok := s.runnable(s.contexts[id], until)
-	if ok {
-		s.occVT[id] = s.contexts[id].queue[0].vtime
-	}
-	if ok == s.ready[id] {
-		return
-	}
-	s.ready[id] = ok
-	if ok {
-		i := len(s.cands)
-		s.cands = append(s.cands, 0)
-		for i > 0 && s.cands[i-1] > id {
-			s.cands[i] = s.cands[i-1]
-			i--
-		}
-		s.cands[i] = id
+	if s.runnable(id, until) {
+		s.readyMask |= 1 << uint(id)
+		s.occVT[id] = s.occ[id].vtime
 	} else {
-		for i, c := range s.cands {
-			if c == id {
-				s.cands = append(s.cands[:i], s.cands[i+1:]...)
-				break
-			}
-		}
+		s.readyMask &^= 1 << uint(id)
+		s.occVT[id] = notReady
+	}
+}
+
+// rebuildCands lists the ready context ids in ascending order.
+func (s *Scheduler) rebuildCands() {
+	s.cands = s.cands[:0]
+	for m := s.readyMask; m != 0; m &= m - 1 {
+		s.cands = append(s.cands, bits.TrailingZeros64(m))
 	}
 }
 
@@ -230,16 +229,16 @@ func (s *Scheduler) SetPolicy(p Policy) { s.policy = p }
 // --- Policy observation accessors -----------------------------------------
 
 // NumContexts returns the number of hardware contexts.
-func (s *Scheduler) NumContexts() int { return len(s.contexts) }
+func (s *Scheduler) NumContexts() int { return len(s.queues) }
 
 // QueueLen returns how many threads are queued on context ctx (the occupant
 // included).
-func (s *Scheduler) QueueLen(ctx int) int { return len(s.contexts[ctx].queue) }
+func (s *Scheduler) QueueLen(ctx int) int { return len(s.queues[ctx]) }
 
 // QueueThreadID returns the id of the thread at queue position pos of
 // context ctx (position 0 is the occupant), or -1 if out of range.
 func (s *Scheduler) QueueThreadID(ctx, pos int) int {
-	q := s.contexts[ctx].queue
+	q := s.queues[ctx]
 	if pos < 0 || pos >= len(q) {
 		return -1
 	}
@@ -248,50 +247,61 @@ func (s *Scheduler) QueueThreadID(ctx, pos int) int {
 
 // OccupantID returns the thread id currently occupying context ctx, or -1
 // if its queue is empty.
-func (s *Scheduler) OccupantID(ctx int) int { return s.QueueThreadID(ctx, 0) }
+func (s *Scheduler) OccupantID(ctx int) int {
+	if t := s.occ[ctx]; t != nil {
+		return t.ID
+	}
+	return -1
+}
 
 // OccupantVTime returns the occupant thread's virtual clock (0 if empty).
 func (s *Scheduler) OccupantVTime(ctx int) cost.Cycles {
-	q := s.contexts[ctx].queue
-	if len(q) == 0 {
-		return 0
+	if t := s.occ[ctx]; t != nil {
+		return t.vtime
 	}
-	return q[0].vtime
+	return 0
 }
 
 // SliceElapsed returns how long the occupant of ctx has been on-CPU in this
 // timeslice (virtual cycles).
 func (s *Scheduler) SliceElapsed(ctx int) cost.Cycles {
-	c := s.contexts[ctx]
-	if len(c.queue) == 0 || c.queue[0].vtime < c.sliceStart {
+	t := s.occ[ctx]
+	if t == nil || t.vtime < s.sliceStart[ctx] {
 		return 0
 	}
-	return c.queue[0].vtime - c.sliceStart
+	return t.vtime - s.sliceStart[ctx]
 }
 
 // DefaultPick is the built-in virtual-time rule: the candidate whose
 // occupant has the minimum virtual clock, ties broken by context id (cands
-// is ascending, so the first minimum wins). It reads the occupant clocks
-// Run caches for ready contexts, so it is valid only inside Run (directly
-// or from a Policy's Pick) and only over ready contexts.
+// is ascending, so the first minimum wins). It reads the ready set Run
+// maintains rather than cands itself, so cands must be the slice Run
+// passed to the Policy's Pick. With no context ready it returns 0.
 func (s *Scheduler) DefaultPick(cands []int) int {
-	if len(cands) == 0 {
+	if s.readyMask == 0 {
 		return 0
 	}
-	best, bv := 0, s.occVT[cands[0]]
-	for i := 1; i < len(cands); i++ {
-		if v := s.occVT[cands[i]]; v < bv {
-			bv, best = v, i
+	return bits.OnesCount64(s.readyMask & (1<<uint(s.pick()) - 1))
+}
+
+// pick returns the id of the ready context whose occupant has the minimum
+// clock, the lowest id among equal clocks. At least one context is ready.
+func (s *Scheduler) pick() int {
+	lo := bits.TrailingZeros64(s.readyMask)
+	vs := s.occVT[lo:bits.Len64(s.readyMask)]
+	best, bv := 0, vs[0]
+	for i, v := range vs {
+		if v < bv {
+			best, bv = i, v
 		}
 	}
-	return best
+	return lo + best
 }
 
 // DefaultPreempt is the built-in OS rule: rotate when the occupant has
 // exhausted its timeslice quantum.
 func (s *Scheduler) DefaultPreempt(ctx int) bool {
-	c := s.contexts[ctx]
-	return c.queue[0].vtime-c.sliceStart >= cost.TimesliceQuantum
+	return s.occ[ctx].vtime-s.sliceStart[ctx] >= cost.TimesliceQuantum
 }
 
 // SiblingActive implements mem.Pressure: whether a sibling hyperthread of
@@ -306,13 +316,7 @@ func (s *Scheduler) SiblingActive(tid int) bool {
 
 // siblingLive is SiblingActive keyed by hardware context (the form the
 // run loop uses: it already holds the thread, so no id lookup).
-func (s *Scheduler) siblingLive(hw int) bool {
-	n := s.coreLive[s.coreOf[hw]]
-	if s.ctxLive[hw] {
-		n--
-	}
-	return n > 0
-}
+func (s *Scheduler) siblingLive(hw int) bool { return s.sibLive[hw] > 0 }
 
 // Oversubscribed reports whether any context multiplexes several threads.
 func (s *Scheduler) Oversubscribed() bool {
@@ -339,17 +343,17 @@ func (s *Scheduler) Crash(tid int) {
 	if s.obs != nil {
 		s.obs.ThreadCrash(tid)
 	}
-	ctx := s.contexts[t.hw]
-	for i, q := range ctx.queue {
+	id := t.hw
+	for i, q := range s.queues[id] {
 		if q == t {
-			ctx.queue = append(ctx.queue[:i], ctx.queue[i+1:]...)
+			s.queues[id] = append(s.queues[id][:i], s.queues[id][i+1:]...)
 			if i == 0 {
-				s.switchIn(ctx)
+				s.switchIn(id)
 			}
 			break
 		}
 	}
-	s.markDirty(ctx.id)
+	s.markDirty(id)
 }
 
 // Decisions returns how many scheduling decisions the run has made so
@@ -384,12 +388,11 @@ func (s *Scheduler) Run(until cost.Cycles) {
 	s.pausedFlag = false
 	// The horizon moved (and anything may have mutated between Run calls):
 	// rebuild the ready set with a full ascending scan.
-	s.cands = s.cands[:0]
-	clear(s.ready)
-	for i := range s.contexts {
+	for i := range s.queues {
 		s.refreshContext(i, until)
 	}
 	s.dirtyMask = 0
+	s.rebuildCands()
 	for {
 		if m := s.dirtyMask; m != 0 {
 			// Re-evaluate only the contexts touched since the last
@@ -397,15 +400,18 @@ func (s *Scheduler) Run(until cost.Cycles) {
 			// therefore the same rotate/retire side-effect sequence) a
 			// full rescan produces, because clean contexts contribute no
 			// side effects.
+			ready := s.readyMask
 			for m != 0 {
 				id := bits.TrailingZeros64(m)
 				m &^= 1 << uint(id)
 				s.refreshContext(id, until)
 			}
 			s.dirtyMask = 0
+			if s.readyMask != ready {
+				s.rebuildCands()
+			}
 		}
-		cands := s.cands
-		if len(cands) == 0 {
+		if s.readyMask == 0 {
 			return
 		}
 		if s.pauseDecOn && s.decisions >= s.pauseDec {
@@ -413,38 +419,36 @@ func (s *Scheduler) Run(until cost.Cycles) {
 			s.pausedFlag = true
 			return
 		}
-		if s.pauseVTOn {
-			min := s.contexts[cands[s.DefaultPick(cands)]].queue[0].vtime
-			if min >= s.pauseVT {
-				s.pauseVTOn = false
-				s.pausedFlag = true
-				return
-			}
+		if s.pauseVTOn && s.occVT[s.pick()] >= s.pauseVT {
+			s.pauseVTOn = false
+			s.pausedFlag = true
+			return
 		}
 		s.decisions++
-		var i int
+		var id int
 		if s.policy != nil {
-			i = s.policy.Pick(s, cands)
+			cands := s.cands
+			i := s.policy.Pick(s, cands)
 			if i < 0 || i >= len(cands) {
 				i = s.DefaultPick(cands)
 			}
+			id = cands[i]
 		} else {
-			i = s.DefaultPick(cands)
+			id = s.pick()
 		}
-		ctx := s.contexts[cands[i]]
-		t := ctx.queue[0]
+		t := s.occ[id]
 
 		// OS timeslice expiry (or a policy-forced context switch): switch
 		// in the next waiter.
-		if len(ctx.queue) > 1 {
+		if len(s.queues[id]) > 1 {
 			var pre bool
 			if s.policy != nil {
-				pre = s.policy.Preempt(s, ctx.id)
+				pre = s.policy.Preempt(s, id)
 			} else {
-				pre = s.DefaultPreempt(ctx.id)
+				pre = s.DefaultPreempt(id)
 			}
 			if pre {
-				s.rotate(ctx)
+				s.rotate(id)
 				continue
 			}
 		}
@@ -467,8 +471,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 				if t.Prof != nil {
 					t.Prof.AddPhase(metrics.PhaseBlocked, uint64(c))
 				}
-				ctx.clock = t.vtime
-				s.markDirty(ctx.id)
+				s.advanced(id, t, until)
 				continue
 			}
 		}
@@ -476,7 +479,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 		before := t.vtime
 		if s.steppers[t.ID].Step(t) {
 			t.done = true
-			s.retireFromContext(ctx)
+			s.retireFromContext(id)
 			continue
 		}
 		// One sibling-activity lookup feeds both the HT-slowdown charge and
@@ -494,26 +497,38 @@ func (s *Scheduler) Run(until cost.Cycles) {
 		if sib {
 			s.maybeSiblingEvict(t)
 		}
-		ctx.clock = t.vtime
-		s.markDirty(ctx.id)
+		s.advanced(id, t, until)
 	}
 }
 
-// runnable reports whether ctx has an occupant that can step before the
-// horizon, rotating past finished or out-of-horizon occupants so waiters
-// behind them still get CPU.
-func (s *Scheduler) runnable(ctx *hwContext, until cost.Cycles) bool {
-	for len(ctx.queue) > 0 {
-		t := ctx.queue[0]
+// advanced records that t, picked on context id, moved its clock without
+// finishing. While t is still the occupant, not done (SetDone inside a
+// step) and below the horizon, re-evaluating the context would have no
+// side effects and find it ready, so its ready-set clock is updated in
+// place; otherwise the context is re-evaluated before the next pick.
+func (s *Scheduler) advanced(id int, t *Thread, until cost.Cycles) {
+	s.clock[id] = t.vtime
+	if s.occ[id] == t && !t.done && t.vtime < until {
+		s.occVT[id] = t.vtime
+	} else {
+		s.markDirty(id)
+	}
+}
+
+// runnable reports whether context id has an occupant that can step before
+// the horizon, rotating past finished or out-of-horizon occupants so
+// waiters behind them still get CPU.
+func (s *Scheduler) runnable(id int, until cost.Cycles) bool {
+	for t := s.occ[id]; t != nil; t = s.occ[id] {
 		if t.done {
-			s.retireFromContext(ctx)
+			s.retireFromContext(id)
 			continue
 		}
 		if t.vtime >= until {
 			// Horizon reached for the occupant; let a waiter run if
 			// one still has budget.
-			if s.anyWaiterBelow(ctx, until) {
-				s.rotate(ctx)
+			if s.anyWaiterBelow(id, until) {
+				s.rotate(id)
 				continue
 			}
 			return false
@@ -523,8 +538,8 @@ func (s *Scheduler) runnable(ctx *hwContext, until cost.Cycles) bool {
 	return false
 }
 
-func (s *Scheduler) anyWaiterBelow(ctx *hwContext, until cost.Cycles) bool {
-	for _, w := range ctx.queue[1:] {
+func (s *Scheduler) anyWaiterBelow(id int, until cost.Cycles) bool {
+	for _, w := range s.queues[id][1:] {
 		if !w.done && w.vtime < until {
 			return true
 		}
@@ -536,8 +551,9 @@ func (s *Scheduler) anyWaiterBelow(ctx *hwContext, until cost.Cycles) bool {
 // timer interrupt cleared the cache), it pays the switch cost and moves to
 // the back; the next thread switches in, its clock catching up to the
 // context's timeline — modelling the time it spent descheduled.
-func (s *Scheduler) rotate(ctx *hwContext) {
-	out := ctx.queue[0]
+func (s *Scheduler) rotate(id int) {
+	q := s.queues[id]
+	out := q[0]
 	s.M.AbortTx(out.ID, mem.Preempt)
 	out.Trace(TracePreempt, 0)
 	out.Charge(cost.ContextSwitch)
@@ -546,45 +562,49 @@ func (s *Scheduler) rotate(ctx *hwContext) {
 		out.Prof.AddPhase(metrics.PhasePreempt, uint64(cost.ContextSwitch))
 	}
 	out.running = false
-	ctx.clock = maxCycles(ctx.clock, out.vtime)
-	copy(ctx.queue, ctx.queue[1:])
-	ctx.queue[len(ctx.queue)-1] = out
-	s.switchIn(ctx)
+	s.clock[id] = maxCycles(s.clock[id], out.vtime)
+	copy(q, q[1:])
+	q[len(q)-1] = out
+	s.switchIn(id)
 	if s.obs != nil {
-		s.obs.ThreadHandoff(out.ID, s.OccupantID(ctx.id))
+		s.obs.ThreadHandoff(out.ID, s.OccupantID(id))
 	}
 }
 
 // retireFromContext removes a finished occupant and switches in the next.
-func (s *Scheduler) retireFromContext(ctx *hwContext) {
-	out := ctx.queue[0]
+func (s *Scheduler) retireFromContext(id int) {
+	out := s.queues[id][0]
 	out.running = false
-	ctx.clock = maxCycles(ctx.clock, out.vtime)
-	ctx.queue = ctx.queue[1:]
-	s.switchIn(ctx)
+	s.clock[id] = maxCycles(s.clock[id], out.vtime)
+	s.queues[id] = s.queues[id][1:]
+	s.switchIn(id)
 	if s.obs != nil {
-		s.obs.ThreadHandoff(out.ID, s.OccupantID(ctx.id))
+		s.obs.ThreadHandoff(out.ID, s.OccupantID(id))
 	}
 }
 
-func (s *Scheduler) switchIn(ctx *hwContext) {
-	s.markDirty(ctx.id)
-	if len(ctx.queue) == 0 {
-		s.setLive(ctx, false)
+// switchIn makes queue[0] the occupant of context id after the queue lost
+// or rotated its previous occupant.
+func (s *Scheduler) switchIn(id int) {
+	s.markDirty(id)
+	if len(s.queues[id]) == 0 {
+		s.occ[id] = nil
+		s.setLive(id, false)
 		return
 	}
-	s.setLive(ctx, !ctx.queue[0].done)
-	in := ctx.queue[0]
+	in := s.queues[id][0]
+	s.occ[id] = in
+	s.setLive(id, !in.done)
 	was := in.vtime
-	in.vtime = maxCycles(in.vtime, ctx.clock) + cost.ContextSwitch
+	in.vtime = maxCycles(in.vtime, s.clock[id]) + cost.ContextSwitch
 	s.ctrSwitches.Inc(in.ID)
 	if in.Prof != nil {
 		// The jump covers descheduled time plus the switch-in cost.
 		in.Prof.AddPhase(metrics.PhasePreempt, uint64(in.vtime-was))
 	}
 	in.running = true
-	ctx.sliceStart = in.vtime
-	ctx.clock = in.vtime
+	s.sliceStart[id] = in.vtime
+	s.clock[id] = in.vtime
 }
 
 // maybeSiblingEvict applies the probabilistic capacity-eviction term: when

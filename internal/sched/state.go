@@ -84,9 +84,9 @@ func (s *Scheduler) SaveState() *State {
 		ts.RngS0, ts.RngS1 = t.Rng.State()
 		st.Threads = append(st.Threads, ts)
 	}
-	for _, c := range s.contexts {
-		cs := ContextState{Clock: c.clock, SliceStart: c.sliceStart}
-		for _, t := range c.queue {
+	for id, q := range s.queues {
+		cs := ContextState{Clock: s.clock[id], SliceStart: s.sliceStart[id]}
+		for _, t := range q {
 			cs.Queue = append(cs.Queue, t.ID)
 		}
 		st.Contexts = append(st.Contexts, cs)
@@ -98,7 +98,7 @@ func (s *Scheduler) SaveState() *State {
 // state. The target must have the same thread and context population as
 // the save source (same Config); mem.RestoreState must already have run.
 func (s *Scheduler) RestoreState(st *State) {
-	if len(st.Threads) != len(s.threads) || len(st.Contexts) != len(s.contexts) {
+	if len(st.Threads) != len(s.threads) || len(st.Contexts) != len(s.queues) {
 		panic("sched: RestoreState population mismatch (different Config?)")
 	}
 	s.decisions = st.Decisions
@@ -126,21 +126,27 @@ func (s *Scheduler) RestoreState(st *State) {
 		t.OpsDone = ts.OpsDone
 		t.UAFReads = ts.UAFReads
 	}
-	for i, c := range s.contexts {
-		cs := &st.Contexts[i]
-		c.queue = c.queue[:0]
+	// The queues are rebuilt wholesale: so are the per-context arrays.
+	// The ready set starts empty with every context dirty (the next Run
+	// call rebuilds it against its horizon anyway).
+	s.liveMask, s.readyMask = 0, 0
+	clear(s.sibLive)
+	s.cands = s.cands[:0]
+	for id := range s.queues {
+		cs := &st.Contexts[id]
+		s.queues[id] = s.queues[id][:0]
 		for _, tid := range cs.Queue {
-			c.queue = append(c.queue, s.threads[tid])
+			s.queues[id] = append(s.queues[id], s.threads[tid])
 		}
-		c.clock = cs.Clock
-		c.sliceStart = cs.SliceStart
-	}
-	// The queues were rebuilt wholesale: resync the sibling-activity cache
-	// and mark everything dirty for the ready structure (the next Run call
-	// rebuilds it against its horizon anyway).
-	for _, c := range s.contexts {
-		s.setLive(c, len(c.queue) > 0 && !c.queue[0].done)
-		s.markDirty(c.id)
+		s.occ[id] = nil
+		if len(s.queues[id]) > 0 {
+			s.occ[id] = s.queues[id][0]
+		}
+		s.clock[id] = cs.Clock
+		s.sliceStart[id] = cs.SliceStart
+		s.occVT[id] = notReady
+		s.setLive(id, s.occ[id] != nil && !s.occ[id].done)
+		s.markDirty(id)
 	}
 }
 
