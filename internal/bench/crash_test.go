@@ -156,3 +156,36 @@ func TestCrashOversubscribedHazards(t *testing.T) {
 		t.Fatal("survivors made no progress")
 	}
 }
+
+// TestCrashSearchOversubscribed: with more threads than hardware contexts
+// the victim is often a descheduled waiter, and each search Run must still
+// step the schedule, so the search finds the victim mid-operation well
+// before its try cap — on E9's quick configurations at 12 and 16 threads
+// (two threads on some or all contexts) and at 24 (three on each).
+func TestCrashSearchOversubscribed(t *testing.T) {
+	o := QuickOptions().WithDefaults()
+	for _, n := range []int{12, 16, 24} {
+		for _, scheme := range []string{SchemeEpoch, SchemeHazards, SchemeDTA, SchemeStackTrack} {
+			cfg := o.cfg(StructList, scheme, n)
+			cfg.CrashThreads = 1
+			in, err := newInstance(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.sc.Run(in.cfg.WarmupCycles)
+			in.horizon = in.cfg.WarmupCycles
+			victim := in.threads[n-1]
+			before := in.sc.Decisions()
+			if !in.crashSearch(victim) {
+				t.Fatalf("%s/%d: crash search paused with no pause point armed", scheme, n)
+			}
+			if in.crashTries >= crashSearchTries || !in.midOp(victim) {
+				t.Fatalf("%s/%d: search used %d of %d tries, victim mid-operation: %v",
+					scheme, n, in.crashTries, crashSearchTries, in.midOp(victim))
+			}
+			if in.sc.Decisions() == before {
+				t.Fatalf("%s/%d: search made no decisions", scheme, n)
+			}
+		}
+	}
+}

@@ -557,18 +557,8 @@ func (in *instance) advance() {
 			// the clock rather than a fixed horizon.
 			for in.crashIdx < cfg.CrashThreads && in.crashIdx < cfg.Threads-1 {
 				tid := cfg.Threads - 1 - in.crashIdx
-				victim := in.threads[tid]
-				for in.crashTries < 10_000 && (in.crashRunPending || !in.midOp(victim)) {
-					if !in.crashRunPending {
-						in.horizon += 5_000
-						in.crashRunPending = true
-					}
-					in.sc.Run(in.horizon)
-					if in.sc.Paused() {
-						return
-					}
-					in.crashRunPending = false
-					in.crashTries++
+				if !in.crashSearch(in.threads[tid]) {
+					return
 				}
 				in.sc.Crash(tid)
 				in.crashIdx++
@@ -680,6 +670,40 @@ func (in *instance) finish() (*Result, error) {
 		res.San.Effects = in.eff.Findings
 	}
 	return res, nil
+}
+
+// crashSearchTries caps the Runs a crash-point search makes per victim.
+const crashSearchTries = 10_000
+
+// crashSearch advances the schedule one short horizon step per Run until
+// victim is mid-operation or crashSearchTries Runs have gone by. It
+// reports false when a scheduler pause point fired first; calling it again
+// resumes the search where it stopped.
+//
+// On an oversubscribed context, a Run that finds the occupant at the
+// horizon rotates in each waiter still below it, and every rotation lands
+// the incoming thread two context switches past the outgoing one. With k
+// threads on a context, a step under 2k−1 context switches can end every
+// Run in such rotations with nothing stepped, so the search steps that far.
+func (in *instance) crashSearch(victim *sched.Thread) bool {
+	step := cost.Cycles(5_000)
+	n := in.cfg.Topology.Contexts()
+	if k := (in.cfg.Threads + n - 1) / n; k > 1 {
+		step = cost.Cycles(2*k-1) * cost.ContextSwitch
+	}
+	for in.crashTries < crashSearchTries && (in.crashRunPending || !in.midOp(victim)) {
+		if !in.crashRunPending {
+			in.horizon += step
+			in.crashRunPending = true
+		}
+		in.sc.Run(in.horizon)
+		if in.sc.Paused() {
+			return false
+		}
+		in.crashRunPending = false
+		in.crashTries++
+	}
+	return true
 }
 
 // midOp reports whether thread t is currently inside an operation, under
