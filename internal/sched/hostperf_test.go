@@ -71,26 +71,36 @@ func TestOversizedTopologyPanics(t *testing.T) {
 	NewScheduler(mem.New(mem.Config{Words: 1 << 12}), tp, 1)
 }
 
+// BenchmarkDecisionLoop times Run over short horizon steps. With k threads
+// on a context, a Run that finds the occupant at the horizon rotates in
+// each waiter below it, two context switches further each time, so a step
+// under 2k−1 context switches can end every Run with nothing stepped.
 func BenchmarkDecisionLoop(b *testing.B) {
-	for _, threads := range []int{8, 24} {
-		name := fmt.Sprintf("%dt", threads)
-		if threads > 8 {
-			name += "-oversubscribed"
-		}
-		b.Run(name, func(b *testing.B) {
-			sc := newPerfWorld(threads)
+	for _, c := range []struct {
+		name    string
+		threads int
+		step    cost.Cycles
+	}{
+		{"8t", 8, 5_000},
+		{"24t-oversubscribed", 24, 5 * cost.ContextSwitch}, // k = 3
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sc := newPerfWorld(c.threads)
 			horizon := cost.Cycles(10_000)
 			sc.Run(horizon)
+			start := sc.Decisions()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				horizon += 5_000
+				horizon += c.step
+				n := sc.Decisions()
 				sc.Run(horizon)
+				if sc.Decisions() == n {
+					b.Fatalf("Run to horizon %d made no decisions", horizon)
+				}
 			}
 			b.StopTimer()
-			if n := sc.Decisions(); n > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/decision")
-			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sc.Decisions()-start), "ns/decision")
 		})
 	}
 }
