@@ -19,7 +19,7 @@ type Stepper interface {
 }
 
 // MaxContexts is the largest topology (in hardware contexts) a Scheduler
-// supports: the ready structure tracks dirty contexts in one 64-bit mask.
+// supports: the ready structure keeps its per-context bits in 64-bit masks.
 const MaxContexts = 64
 
 // blockedPollCost is the virtual cost of one poll of a blocked thread's
@@ -317,11 +317,6 @@ func (s *Scheduler) SiblingActive(tid int) bool {
 // siblingLive is SiblingActive keyed by hardware context (the form the
 // run loop uses: it already holds the thread, so no id lookup).
 func (s *Scheduler) siblingLive(hw int) bool { return s.sibLive[hw] > 0 }
-
-// Oversubscribed reports whether any context multiplexes several threads.
-func (s *Scheduler) Oversubscribed() bool {
-	return len(s.threads) > s.Topo.Contexts()
-}
 
 // Crash kills thread tid where it stands: it is never scheduled again, its
 // in-flight transaction dies with it (the hardware discards an interrupted
