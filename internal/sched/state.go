@@ -129,9 +129,7 @@ func (s *Scheduler) RestoreState(st *State) {
 	// The queues are rebuilt wholesale: so are the per-context arrays.
 	// The ready set starts empty with every context dirty (the next Run
 	// call rebuilds it against its horizon anyway).
-	s.liveMask, s.readyMask = 0, 0
-	clear(s.sibLive)
-	s.cands = s.cands[:0]
+	s.readyMask, s.cands = 0, s.cands[:0]
 	for id := range s.queues {
 		cs := &st.Contexts[id]
 		s.queues[id] = s.queues[id][:0]
