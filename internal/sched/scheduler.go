@@ -315,7 +315,7 @@ func (s *Scheduler) SiblingActive(tid int) bool {
 }
 
 // siblingLive is SiblingActive keyed by hardware context (the form the
-// run loop uses: it already holds the thread, so no id lookup).
+// run loop uses: it already holds the context id).
 func (s *Scheduler) siblingLive(hw int) bool { return s.sibLive[hw] > 0 }
 
 // Crash kills thread tid where it stands: it is never scheduled again, its
@@ -479,7 +479,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 		}
 		// One sibling-activity lookup feeds both the HT-slowdown charge and
 		// the probabilistic eviction below.
-		sib := s.siblingLive(t.hw)
+		sib := s.siblingLive(id)
 		if sib && s.Topo.HTSlowdown > 0 {
 			// Shared execution units: the step takes longer while the
 			// sibling hyperthread is busy.
