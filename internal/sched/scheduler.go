@@ -27,8 +27,8 @@ const MaxContexts = 64
 const blockedPollCost cost.Cycles = 400
 
 // notReady is the occupant clock recorded for a context that cannot step:
-// it loses every minimum-clock comparison, so the pick scans the dense
-// clock array without consulting the ready set.
+// it loses every minimum-clock comparison, so the pick scans a contiguous
+// run of the clock array without testing each context's ready bit.
 const notReady = ^cost.Cycles(0)
 
 // Policy decides scheduling: which runnable context steps next, and whether
