@@ -32,11 +32,11 @@ type checkedPolicy struct {
 }
 
 func newCheckedPolicy(t *testing.T, s *Scheduler, seed uint64) *checkedPolicy {
-	p := &checkedPolicy{t: t, r: rng.New(seed), switches: make([]uint64, len(s.threads)), start: make([]cost.Cycles, s.NumContexts())}
-	for id := range p.start {
-		p.start[id] = s.sliceStart[id]
+	return &checkedPolicy{
+		t: t, r: rng.New(seed),
+		switches: make([]uint64, len(s.threads)),
+		start:    append([]cost.Cycles(nil), s.sliceStart...),
 	}
-	return p
 }
 
 func (p *checkedPolicy) Pick(s *Scheduler, cands []int) int {
