@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"testing"
 
+	"stacktrack/internal/core"
 	"stacktrack/internal/cost"
 	"stacktrack/internal/snap"
 )
@@ -215,6 +216,54 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				assertSameRun(t, fmt.Sprintf("donor@%d", at), want, donor)
 			}
 		})
+	}
+}
+
+// TestSnapshotRestoreMidScanSweep restores StackTrack runs at evenly
+// spaced decisions with a scan on every free (MaxFree 1) and scan elision
+// on, so many snapshots land inside a SCAN_AND_FREE whose victim is
+// scanned under its track mask. Every restored run must finish
+// bit-identical to the uninterrupted one, for both scan sinks on the list
+// and the skip list. A restore that drops the victim's mask scans it in
+// full and diverges.
+func TestSnapshotRestoreMidScanSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restores 4 runs at 40 points each")
+	}
+	const points = 40
+	for _, structure := range []string{StructList, StructSkipList} {
+		for _, hashed := range []bool{false, true} {
+			cfg := quickCfg(SchemeStackTrack)
+			cfg.Structure = structure
+			cfg.Core = core.Config{MaxFree: 1, HashedScan: hashed}
+			t.Run(fmt.Sprintf("%s/hashed=%v", structure, hashed), func(t *testing.T) {
+				want := mustRun(t, cfg)
+				total := totalDecisions(t, cfg)
+				donor, err := NewSession(cfg)
+				if err != nil {
+					t.Fatalf("NewSession: %v", err)
+				}
+				for i := uint64(1); i <= points; i++ {
+					at := total * i / (points + 1)
+					if !donor.RunToDecision(at) {
+						t.Fatalf("pause at %d did not fire", at)
+					}
+					st, err := donor.Snapshot()
+					if err != nil {
+						t.Fatalf("Snapshot: %v", err)
+					}
+					restored, err := SessionFromSnapshot(cfg, st)
+					if err != nil {
+						t.Fatalf("SessionFromSnapshot: %v", err)
+					}
+					got, err := restored.Finish()
+					if err != nil {
+						t.Fatalf("restored Finish: %v", err)
+					}
+					assertSameRun(t, fmt.Sprintf("restore@%d", at), want, got)
+				}
+			})
+		}
 	}
 }
 

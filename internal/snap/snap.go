@@ -47,7 +47,8 @@ const Magic = "STSNAP"
 // Version is the schema version written by Encode. Decode refuses any
 // other version: state structs change shape between schema revisions and
 // a silent cross-version restore would corrupt rather than fail.
-const Version uint32 = 1
+// Version 2 added core.ScanSnap.Act, the mid-scan victim's activity word.
+const Version uint32 = 2
 
 // Decode failure modes, each detectable with errors.Is.
 var (

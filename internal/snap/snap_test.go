@@ -6,6 +6,7 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -52,15 +53,18 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestVersionSkew(t *testing.T) {
-	b := sample(t)
-	// Version lives right after the magic, big-endian.
-	b[len(Magic)+3]++
-	st, err := Decode(bytes.NewReader(b))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("want ErrVersion, got %v", err)
-	}
-	if st != nil {
-		t.Fatal("partial state returned on version skew")
+	// Version lives right after the magic, big-endian. A v1 file predates
+	// the mid-scan victim's activity word and must not restore.
+	for _, ver := range []uint32{1, Version + 1} {
+		b := sample(t)
+		binary.BigEndian.PutUint32(b[len(Magic):], ver)
+		st, err := Decode(bytes.NewReader(b))
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("v%d: want ErrVersion, got %v", ver, err)
+		}
+		if st != nil {
+			t.Fatalf("v%d: partial state returned on version skew", ver)
+		}
 	}
 }
 
