@@ -28,7 +28,7 @@ type idleStepper struct{}
 
 func (idleStepper) Step(*sched.Thread) bool { return true }
 
-func newWorld(t *testing.T, nThreads int, cfg Config) *world {
+func newWorld(t testing.TB, nThreads int, cfg Config) *world {
 	t.Helper()
 	m := mem.New(mem.Config{Words: 1 << 18})
 	al := alloc.New(m)
