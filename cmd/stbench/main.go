@@ -70,12 +70,6 @@ func main() {
 	}
 	defer stopProf()
 
-	// E17 measures host wall-clock; simulated packages may not read host
-	// clocks (simclock), so the clock is injected from out here. A
-	// monotonic base makes the measurement immune to wall-clock steps.
-	procStart := time.Now()
-	bench.HostClock = func() int64 { return int64(time.Since(procStart)) }
-
 	if *list {
 		for _, line := range bench.ExperimentInventory() {
 			fmt.Println(line)

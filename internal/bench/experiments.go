@@ -612,8 +612,6 @@ var Experiments = []Experiment{
 	{Name: "extension-bigmachine", ID: "E10", Run: ExtensionBigMachine,
 		Axis: func(Options) []int { return BigMachineThreads }},
 	{Name: "ablation-scanelide", ID: "E16", Alias: "scanelide", Run: AblationScanElide},
-	{Name: "host-selftest", ID: "E17", Alias: "host", Run: HostSelftest,
-		Axis: func(Options) []int { return nil }},
 }
 
 // FindExperiment resolves a user-supplied name against every experiment's

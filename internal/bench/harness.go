@@ -211,16 +211,10 @@ type Result struct {
 
 	// Decisions is the scheduler's total decision count for the whole
 	// run — the unit of host interpreter work (one per basic block step,
-	// blocked-wait poll, or preemption choice). The host-throughput
-	// selftest (E17) aggregates it; it is not part of the exported
-	// point document.
+	// blocked-wait poll, or preemption choice). The host-speed benchmark
+	// divides it by host time; it is not part of the exported point
+	// document.
 	Decisions uint64
-
-	// HostDerived carries host-side derived metrics (wall-clock rates)
-	// for synthetic points like E17's. The JSON exporter merges it into
-	// the point's Derived map. Always nil for simulated results, so
-	// committed baselines are untouched.
-	HostDerived map[string]float64
 
 	// SuccInserts/SuccDeletes/Hits classify operations completed during
 	// the measurement window.
