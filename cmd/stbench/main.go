@@ -197,8 +197,8 @@ func main() {
 	if *jsonOut != "" {
 		// -json output carries a host-side provenance block (wall-clock
 		// duration, toolchain, VCS commit). It is deliberately absent from
-		// -baseline files: meta is outside every content address, and
-		// baselines must stay byte-identical across hosts and commits.
+		// -baseline files, which must stay byte-identical across hosts
+		// and commits.
 		p := cli.Provenance()
 		doc := &bench.ResultsJSON{
 			Schema: bench.SchemaVersion,

@@ -1,12 +1,12 @@
 package bench
 
 // Host-side cancellation seam: a benchmark run is a deterministic
-// simulation, but the host driving it (a CLI under SIGINT, a service job
-// under a deadline) needs to stop one mid-flight. RunContext drives the
-// run through a Session, pausing at scheduling-decision boundaries to
-// poll the context — so cancellation lands at a clean boundary and never
-// mid-instruction, and an uncancelled RunContext is bit-identical to Run
-// (the Session machinery is the same phase machine Run uses).
+// simulation, but the host driving it (a CLI under SIGINT) needs to stop
+// one mid-flight. RunContext drives the run through a Session, pausing at
+// scheduling-decision boundaries to poll the context — so cancellation
+// lands at a clean boundary and never mid-instruction, and an uncancelled
+// RunContext is bit-identical to Run (the Session machinery is the same
+// phase machine Run uses).
 
 import "context"
 

@@ -67,9 +67,7 @@ type Config struct {
 	// KeyDist selects the key distribution for set structures:
 	// KeyDistUniform (the paper's workload, the default) or
 	// KeyDistZipfian, which skews operations onto a hot key prefix with
-	// skew ZipfTheta (0 = workload.DefaultZipfTheta). Both feed
-	// ConfigKey, so skewed runs are content-addressed and cacheable
-	// separately from uniform ones.
+	// skew ZipfTheta (0 = workload.DefaultZipfTheta).
 	KeyDist   string
 	ZipfTheta float64
 
@@ -348,6 +346,12 @@ func newInstance(cfg Config) (*instance, error) {
 	}
 	if n := cfg.Topology.Contexts(); n > sched.MaxContexts {
 		return nil, fmt.Errorf("bench: topology has %d hardware contexts, at most %d supported", n, sched.MaxContexts)
+	}
+	if cfg.MutatePct < 0 || cfg.MutatePct > 100 {
+		return nil, fmt.Errorf("bench: mutation percentage %d outside [0, 100]", cfg.MutatePct)
+	}
+	if p := cfg.Core.ForceSlowPct; p < 0 || p > 100 {
+		return nil, fmt.Errorf("bench: slow-path percentage %d outside [0, 100]", p)
 	}
 
 	in := &instance{cfg: cfg}

@@ -24,15 +24,14 @@ const SchemaVersion = 1
 type ResultsJSON struct {
 	Schema int `json:"schema"`
 	// Meta is host-side provenance (wall-clock duration, toolchain, VCS
-	// commit). Deliberately outside every content address and absent
-	// from baselines and served results — two runs of the same config
-	// stay byte-identical wherever byte-identity is load-bearing; only
-	// front-ends that want provenance (stbench -json) stamp it.
+	// commit). Deliberately absent from baselines — two runs of the same
+	// config stay byte-identical wherever byte-identity is load-bearing;
+	// only front-ends that want provenance (stbench -json) stamp it.
 	Meta        *RunMeta          `json:"meta,omitempty"`
 	Experiments []*ExperimentJSON `json:"experiments"`
 }
 
-// RunMeta is the non-hashed provenance block. The fields describe the
+// RunMeta is the host-side provenance block. The fields describe the
 // host run that produced the document, never the simulated result.
 type RunMeta struct {
 	DurationMs float64 `json:"duration_ms,omitempty"`
@@ -96,6 +95,20 @@ func derivedRates(threads int, res *Result) map[string]float64 {
 	return d
 }
 
+// pointJSON exports one completed point.
+func pointJSON(series string, threads int, res *Result) PointJSON {
+	return PointJSON{
+		Series:          series,
+		Threads:         threads,
+		Ops:             res.Ops,
+		Throughput:      res.Throughput,
+		AvgSegmentLimit: res.AvgSegmentLimit,
+		Derived:         derivedRates(threads, res),
+		Metrics:         res.Metrics,
+		Profile:         res.Profile,
+	}
+}
+
 // RunExperimentJSON runs one experiment with a point collector installed
 // and returns both the machine-readable result and the human-readable
 // table.
@@ -115,16 +128,7 @@ func RunExperimentJSON(e *Experiment, o Options) (*ExperimentJSON, *Table, error
 	}
 	prev := o.Collect // chain, don't clobber, a caller-installed observer
 	o.Collect = func(series string, threads int, res *Result) {
-		out.Points = append(out.Points, PointJSON{
-			Series:          series,
-			Threads:         threads,
-			Ops:             res.Ops,
-			Throughput:      res.Throughput,
-			AvgSegmentLimit: res.AvgSegmentLimit,
-			Derived:         derivedRates(threads, res),
-			Metrics:         res.Metrics,
-			Profile:         res.Profile,
-		})
+		out.Points = append(out.Points, pointJSON(series, threads, res))
 		if prev != nil {
 			prev(series, threads, res)
 		}
@@ -160,36 +164,14 @@ func ReadResultsJSON(path string) (*ResultsJSON, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := DecodeResults(b)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc, nil
-}
-
-// DecodeResults parses a results document from bytes and checks its
-// schema version — the in-memory half of ReadResultsJSON, shared with
-// the result archive (internal/store), which stores documents as bytes.
-func DecodeResults(b []byte) (*ResultsJSON, error) {
 	var doc ResultsJSON
 	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if doc.Schema != SchemaVersion {
-		return nil, fmt.Errorf("schema %d, want %d", doc.Schema, SchemaVersion)
+		return nil, fmt.Errorf("%s: schema %d, want %d", path, doc.Schema, SchemaVersion)
 	}
 	return &doc, nil
-}
-
-// FindResultsExperiment returns doc's entry for e (matched by ID or
-// name), or nil when the document does not cover it.
-func FindResultsExperiment(doc *ResultsJSON, e *Experiment) *ExperimentJSON {
-	for _, x := range doc.Experiments {
-		if x.ID == e.ID || x.Name == e.Name {
-			return x
-		}
-	}
-	return nil
 }
 
 // BaselineFile returns the conventional baseline filename for an
@@ -211,8 +193,10 @@ func LoadBaseline(dir string, e *Experiment) (*ExperimentJSON, error) {
 	if err != nil {
 		return nil, err
 	}
-	if x := FindResultsExperiment(doc, e); x != nil {
-		return x, nil
+	for _, x := range doc.Experiments {
+		if x.ID == e.ID || x.Name == e.Name {
+			return x, nil
+		}
 	}
 	return nil, fmt.Errorf("%s: no results for experiment %s (%s)", path, e.Name, e.ID)
 }

@@ -1,5 +1,5 @@
 // Package cli holds the small plumbing shared by the command-line front
-// ends (stbench, stfuzz, stserved): signal-driven cancellation and the
+// ends (stbench, stfuzz, stsim): signal-driven cancellation and the
 // conventional exit codes. It exists so every long-running command
 // handles SIGINT the same way — cancel a context, let the run stop at
 // the next decision/point boundary, flush partial output, and exit with
@@ -51,9 +51,9 @@ func Interrupted(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// SplitList splits a comma-separated flag value (-run E1a,E2b,
-// -workers http://a,http://b) into its whitespace-trimmed non-empty
-// items; an empty or all-comma value yields nil.
+// SplitList splits a comma-separated flag value (-run E1a,E2b) into
+// its whitespace-trimmed non-empty items; an empty or all-comma value
+// yields nil.
 func SplitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {

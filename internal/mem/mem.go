@@ -172,7 +172,7 @@ func New(cfg Config) *Memory {
 // reuse is observationally identical to a fresh allocation — it only
 // avoids the (large, mostly-untouched) backing allocations. Sweeps create
 // one Memory per point; reuse removes that churn entirely. The mutex is
-// host-side only (the pool is shared by concurrently served jobs); the
+// host-side only (the pool is shared by concurrent explore workers); the
 // simulation itself remains single-goroutine.
 var memPool struct {
 	mu   sync.Mutex
