@@ -17,9 +17,9 @@
 //	stbench -quick -run E1a,E2b,E3 -baseline .      # write BENCH_<ID>.json baselines
 //	stbench -quick -run E1a,E2b,E3 -compare .       # diff against the baselines
 //
-// The simulator is deterministic, so -compare demands exact counter
-// equality by default (-counter-tol relaxes it); throughput and derived
-// rates are allowed -tol relative drift (default 10%).
+// The simulator is deterministic, so -compare is exact: it reports every
+// counter, throughput and derived rate that differs from the baseline,
+// with its relative difference.
 //
 // SIGINT/SIGTERM cancel cooperatively: the running sweep stops at the
 // next scheduling-decision boundary, completed experiments (and the
@@ -42,23 +42,21 @@ import (
 
 func main() {
 	var (
-		quick      = flag.Bool("quick", false, "reduced sweep (fewer thread counts, shorter runs)")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		measureMs  = flag.Float64("measure-ms", 0, "virtual measurement window per point (ms)")
-		warmupMs   = flag.Float64("warmup-ms", 0, "virtual warmup per point (ms)")
-		seed       = flag.Uint64("seed", 0, "master seed (0 = default)")
-		threads    = flag.String("threads", "", "comma-separated thread counts (e.g. 1,2,4,8,16)")
-		verbose    = flag.Bool("v", false, "print per-point progress to stderr")
-		list       = flag.Bool("list", false, "list experiment names and exit")
-		run        = flag.String("run", "", "comma-separated experiments (names, IDs, or aliases)")
-		jsonOut    = flag.String("json", "", "write results as versioned JSON to this file")
-		baseline   = flag.String("baseline", "", "write one BENCH_<ID>.json baseline per experiment into this directory")
-		compare    = flag.String("compare", "", "compare against BENCH_<ID>.json baselines in this directory; exit 1 on regression")
-		tol        = flag.Float64("tol", 0.10, "relative tolerance for throughput and derived rates in -compare")
-		counterTol = flag.Float64("counter-tol", 0, "relative tolerance for raw counters in -compare (0 = exact)")
-		profile    = flag.Bool("profile", false, "enable the virtual-cycle profiler on every point")
-		checkEff   = flag.Bool("check-effects", false, "arm the effect-soundness oracle on every point (declared effects vs executed accesses)")
-		noElide    = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
+		quick     = flag.Bool("quick", false, "reduced sweep (fewer thread counts, shorter runs)")
+		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		measureMs = flag.Float64("measure-ms", 0, "virtual measurement window per point (ms)")
+		warmupMs  = flag.Float64("warmup-ms", 0, "virtual warmup per point (ms)")
+		seed      = flag.Uint64("seed", 0, "master seed (0 = default)")
+		threads   = flag.String("threads", "", "comma-separated thread counts (e.g. 1,2,4,8,16)")
+		verbose   = flag.Bool("v", false, "print per-point progress to stderr")
+		list      = flag.Bool("list", false, "list experiment names and exit")
+		run       = flag.String("run", "", "comma-separated experiments (names, IDs, or aliases)")
+		jsonOut   = flag.String("json", "", "write results as versioned JSON to this file")
+		baseline  = flag.String("baseline", "", "write one BENCH_<ID>.json baseline per experiment into this directory")
+		compare   = flag.String("compare", "", "compare exactly against BENCH_<ID>.json baselines in this directory; exit 1 on any difference")
+		profile   = flag.Bool("profile", false, "enable the virtual-cycle profiler on every point")
+		checkEff  = flag.Bool("check-effects", false, "arm the effect-soundness oracle on every point (declared effects vs executed accesses)")
+		noElide   = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
 	)
 	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -154,7 +152,6 @@ func main() {
 	}
 
 	needJSON := *jsonOut != "" || *baseline != "" || *compare != ""
-	tolerance := bench.Tolerance{Rate: *tol, Counter: *counterTol}
 	var docs []*bench.ExperimentJSON
 	var regressions []bench.Regression
 	complete := 0 // experiments that ran to the end; docs[complete:] are partial
@@ -233,7 +230,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
 				cli.Exit(cli.ExitFailure)
 			}
-			regressions = append(regressions, bench.CompareExperiments(ref, docs[i], tolerance)...)
+			regressions = append(regressions, bench.CompareExperiments(ref, docs[i])...)
 		}
 		if len(regressions) > 0 {
 			fmt.Fprintf(os.Stderr, "stbench: %d regression(s) against baselines in %s:\n", len(regressions), *compare)

@@ -85,6 +85,22 @@ func main() {
 		cli.Exit(runLint(*dataflow))
 	}
 
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
+		cli.Exit(cli.ExitUsage)
+	}
+	if *threads < 1 {
+		usage(fmt.Errorf("-threads: %d is not a thread count (want 1-64)", *threads))
+	}
+	warmup, err := cli.VirtualMs("warmup-ms", *warmupMs)
+	if err != nil {
+		usage(err)
+	}
+	measure, err := cli.VirtualMs("measure-ms", *measureMs)
+	if err != nil {
+		usage(err)
+	}
+
 	cfg := bench.Config{
 		Structure:     *structure,
 		Scheme:        *scheme,
@@ -92,8 +108,8 @@ func main() {
 		Seed:          *seed,
 		InitialSize:   *initial,
 		MutatePct:     *mutate,
-		WarmupCycles:  cost.FromSeconds(*warmupMs / 1000),
-		MeasureCycles: cost.FromSeconds(*measureMs / 1000),
+		WarmupCycles:  warmup,
+		MeasureCycles: measure,
 		Validate:      *validate,
 		TraceEvents:   *traceN,
 		Profile:       *profile || *folded != "",
@@ -107,7 +123,6 @@ func main() {
 	cfg.Core.Predictor = *predictor
 
 	var res *bench.Result
-	var err error
 	switch {
 	case *bisect:
 		runBisect(cfg, *checkpointOut)

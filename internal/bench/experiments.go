@@ -24,9 +24,6 @@ type Options struct {
 	// Profile enables the virtual-cycle profiler on every point (fills
 	// Result.Profile / Result.Folded; never changes simulated results).
 	Profile bool
-	// Sanitize enables the dynamic-analysis layer on every point (fills
-	// Result.San; never changes simulated results).
-	Sanitize bool
 	// CheckEffects arms the effect-soundness oracle on every point
 	// (fills Result.San.EffectViolations; never changes simulated
 	// results).
@@ -43,14 +40,6 @@ type Options struct {
 	// scheduling-decision boundaries inside a point via RunContext. The
 	// sweep returns the context's error; points already collected stand.
 	Ctx context.Context
-	// ShardThreads, when non-nil, restricts the sweep to these thread
-	// counts without changing anything else about it — each point is
-	// simulated exactly as it would be inside the full sweep, so shard
-	// documents merge back into the full document byte for byte. Unlike
-	// overriding Threads, the restriction composes with experiments that
-	// own their axis (E10's fixed big-machine list) and leaves the
-	// exported OptionsJSON.Threads recording the full sweep.
-	ShardThreads []int
 }
 
 // WithDefaults fills an Options with full-figure parameters.
@@ -88,30 +77,9 @@ func (o Options) cfg(structure, scheme string, threads int) Config {
 		WarmupCycles:  cost.FromSeconds(o.WarmupMs / 1000),
 		MeasureCycles: cost.FromSeconds(o.MeasureMs / 1000),
 		Profile:       o.Profile,
-		Sanitize:      o.Sanitize,
 		CheckEffects:  o.CheckEffects,
 		NoScanElide:   o.NoScanElide,
 	}
-}
-
-// SweepThreads returns the thread counts a sweep should actually run:
-// axis, restricted to ShardThreads (order and duplicates follow axis)
-// when a shard restriction is set.
-func (o Options) SweepThreads(axis []int) []int {
-	if o.ShardThreads == nil {
-		return axis
-	}
-	keep := make(map[int]bool, len(o.ShardThreads))
-	for _, n := range o.ShardThreads {
-		keep[n] = true
-	}
-	var out []int
-	for _, n := range axis {
-		if keep[n] {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 func (o Options) collect(series string, threads int, res *Result) {
@@ -129,7 +97,7 @@ func (o Options) progress(format string, args ...any) {
 // throughputSweep runs structure × schemes × threads and returns ops/sec.
 func throughputSweep(structure string, schemes []string, o Options) (*Table, error) {
 	tb := &Table{Cols: append([]string{"threads"}, schemes...)}
-	for _, n := range o.SweepThreads(o.Threads) {
+	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, s := range schemes {
 			res, err := o.run(o.cfg(structure, s, n))
@@ -199,23 +167,20 @@ func Figure2Hash(o Options) (*Table, error) {
 }
 
 // listStackTrackSweep runs the list benchmark under StackTrack once per
-// thread count (Figures 3 and 4 share it). The returned thread slice is
-// aligned with the results (it differs from o.Threads under a shard
-// restriction).
-func listStackTrackSweep(o Options) ([]int, []*Result, error) {
-	threads := o.SweepThreads(o.Threads)
+// thread count (Figures 3 and 4 share it); results align with o.Threads.
+func listStackTrackSweep(o Options) ([]*Result, error) {
 	var out []*Result
-	for _, n := range threads {
+	for _, n := range o.Threads {
 		res, err := o.run(o.cfg(StructList, SchemeStackTrack, n))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		o.collect(SchemeStackTrack, n, res)
 		o.progress("list StackTrack threads=%d: %.0f ops/s, %d conflict aborts, %d capacity aborts",
 			n, res.Throughput, res.Mem.ConflictAborts, res.Mem.CapacityAborts)
 		out = append(out, res)
 	}
-	return threads, out, nil
+	return out, nil
 }
 
 // Figure3Aborts regenerates Figure 3: HTM contention and capacity aborts in
@@ -223,7 +188,7 @@ func listStackTrackSweep(o Options) ([]int, []*Result, error) {
 // per-run averages, so shapes (not magnitudes) are comparable.
 func Figure3Aborts(o Options) (*Table, error) {
 	o = o.WithDefaults()
-	threads, results, err := listStackTrackSweep(o)
+	results, err := listStackTrackSweep(o)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +202,7 @@ func Figure3Aborts(o Options) (*Table, error) {
 		if res.Core.Segments > 0 {
 			perSeg = 1000 * float64(res.Mem.Aborts()) / float64(res.Core.Segments)
 		}
-		tb.AddRow(fmt.Sprintf("%d", threads[i]),
+		tb.AddRow(fmt.Sprintf("%d", o.Threads[i]),
 			fmt.Sprintf("%d", res.Mem.ConflictAborts),
 			fmt.Sprintf("%d", res.Mem.CapacityAborts),
 			fmt.Sprintf("%d", res.Mem.PreemptAborts),
@@ -251,7 +216,7 @@ func Figure3Aborts(o Options) (*Table, error) {
 // average split (segment) lengths in the list benchmark.
 func Figure4Splits(o Options) (*Table, error) {
 	o = o.WithDefaults()
-	threads, results, err := listStackTrackSweep(o)
+	results, err := listStackTrackSweep(o)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +233,7 @@ func Figure4Splits(o Options) (*Table, error) {
 		if res.Core.Segments > 0 {
 			avgLen = float64(res.Core.SegmentBlocks) / float64(res.Core.Segments)
 		}
-		tb.AddRow(fmt.Sprintf("%d", threads[i]), f2(splitsPerOp), f2(avgLen), f2(res.AvgSegmentLimit))
+		tb.AddRow(fmt.Sprintf("%d", o.Threads[i]), f2(splitsPerOp), f2(avgLen), f2(res.AvgSegmentLimit))
 	}
 	return tb, nil
 }
@@ -282,7 +247,7 @@ func Figure5SlowPath(o Options) (*Table, error) {
 		Title: "Figure 5 — SkipList: slow-path fallback impact (relative to 0% slow)",
 		Cols:  []string{"threads", "Slow-0", "Slow-10", "Slow-50", "Slow-100"},
 	}
-	for _, n := range o.SweepThreads(o.Threads) {
+	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
 		var base float64
 		for _, pct := range pcts {
@@ -320,7 +285,7 @@ func TableScanStats(o Options) (*Table, error) {
 			"ops/s(F1)", "scans(F1)", "depth(F1)", "penalty%(F1)",
 			"ops/s(F10)", "scans(F10)", "depth(F10)", "penalty%(F10)"},
 	}
-	for _, n := range o.SweepThreads(o.Threads) {
+	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, every := range []int{1, 10} {
 			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
@@ -362,7 +327,7 @@ func AblationScan(o Options) (*Table, error) {
 			"ops/s(per-ptr)", "words/scan(per-ptr)",
 			"ops/s(hashed)", "words/scan(hashed)"},
 	}
-	for _, n := range o.SweepThreads(o.Threads) {
+	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, hashed := range []bool{false, true} {
 			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
@@ -399,7 +364,7 @@ func AblationPredictor(o Options) (*Table, error) {
 			"ops/s(additive)", "len(additive)",
 			"ops/s(aimd)", "len(aimd)"},
 	}
-	for _, n := range o.SweepThreads(o.Threads) {
+	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, policy := range []string{"additive", "aimd"} {
 			cfg := o.cfg(StructList, SchemeStackTrack, n)
@@ -436,7 +401,7 @@ func AblationScanElide(o Options) (*Table, error) {
 			"ops/s(elide)", "scanned(elide)", "elided",
 			"ops/s(full)", "scanned(full)", "saved%"},
 	}
-	for _, n := range o.SweepThreads(o.Threads) {
+	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
 		var scannedElide uint64
 		for _, off := range []bool{false, true} {
@@ -510,7 +475,7 @@ func ExtensionCrash(o Options) (*Table, error) {
 			"ops/s(DTA)", "unreclaimed(DTA)",
 			"ops/s(StackTrack)", "unreclaimed(StackTrack)"},
 	}
-	for _, n := range o.SweepThreads(o.Threads) {
+	for _, n := range o.Threads {
 		if n < 2 {
 			continue // need a survivor and a victim
 		}
@@ -539,13 +504,12 @@ func ExtensionBigMachine(o Options) (*Table, error) {
 	o = o.WithDefaults()
 	big := topo.Haswell8Way()
 	big.Cores = 16
-	threads := o.SweepThreads(BigMachineThreads)
 	schemes := []string{SchemeOriginal, SchemeHazards, SchemeEpoch, SchemeStackTrack}
 	tb := &Table{
 		Title: "Extension — 16-core × 2-HT machine, skip list (§7's scaling prediction)",
 		Cols:  append([]string{"threads"}, schemes...),
 	}
-	for _, n := range threads {
+	for _, n := range BigMachineThreads {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, s := range schemes {
 			cfg := o.cfg(StructSkipList, s, n)
@@ -567,30 +531,14 @@ func ExtensionBigMachine(o Options) (*Table, error) {
 // larger simulated machine than the default 1..16 x-axis covers.
 var BigMachineThreads = []int{1, 2, 4, 8, 12, 16, 20, 24, 28, 32}
 
-// crashAxis is E9's thread axis: the crash experiment needs a survivor
-// and a victim, so single-thread points are never swept.
-func crashAxis(o Options) []int {
-	var out []int
-	for _, n := range o.WithDefaults().Threads {
-		if n >= 2 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Experiment is one registered experiment: a long name, a short stable ID
 // (used for baseline filenames like BENCH_E1a.json), an optional extra
-// alias, and the runner. Axis, when set, names the thread counts the
-// sweep actually covers under a given Options (experiments that own
-// their axis or skip part of it); nil means Options.Threads verbatim.
-// SweepAxis resolves it; ShardPlan decomposes along it.
+// alias, and the runner.
 type Experiment struct {
 	Name  string
 	ID    string
 	Alias string
 	Run   func(Options) (*Table, error)
-	Axis  func(Options) []int
 }
 
 // Experiments lists the paper's figures and tables in order, then the
@@ -607,9 +555,8 @@ var Experiments = []Experiment{
 	{Name: "ablation-scan", ID: "E8a", Run: AblationScan},
 	{Name: "ablation-predictor", ID: "E8b", Run: AblationPredictor},
 	{Name: "extension-schemes", ID: "E8c", Run: ExtensionSchemes},
-	{Name: "extension-crash", ID: "E9", Run: ExtensionCrash, Axis: crashAxis},
-	{Name: "extension-bigmachine", ID: "E10", Run: ExtensionBigMachine,
-		Axis: func(Options) []int { return BigMachineThreads }},
+	{Name: "extension-crash", ID: "E9", Run: ExtensionCrash},
+	{Name: "extension-bigmachine", ID: "E10", Run: ExtensionBigMachine},
 	{Name: "ablation-scanelide", ID: "E16", Alias: "scanelide", Run: AblationScanElide},
 }
 

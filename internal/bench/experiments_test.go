@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -44,6 +46,43 @@ func TestEveryExperimentProducesATable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExperimentsOwnTheirThreadAxes: E9 needs a survivor and a victim,
+// so it skips single-thread points; E10 sweeps BigMachineThreads
+// whatever Options.Threads says. Both are observed through Collect, and
+// E10 is cancelled from its first point so the check stays cheap.
+func TestExperimentsOwnTheirThreadAxes(t *testing.T) {
+	t.Run("E9", func(t *testing.T) {
+		var got []int
+		o := Options{Threads: []int{1, 2}, MeasureMs: 0.3, WarmupMs: 0.1,
+			Collect: func(_ string, n int, _ *Result) { got = append(got, n) }}
+		if _, err := FindExperiment("E9").Run(o); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			t.Fatal("E9 collected no points")
+		}
+		for _, n := range got {
+			if n != 2 {
+				t.Fatalf("E9 collected a %d-thread point; want only 2-thread points (got %v)", n, got)
+			}
+		}
+	})
+
+	t.Run("E10", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var got []int
+		o := Options{Threads: []int{3}, MeasureMs: 0.3, WarmupMs: 0.1, Ctx: ctx,
+			Collect: func(_ string, n int, _ *Result) { got = append(got, n); cancel() }}
+		if _, err := FindExperiment("E10").Run(o); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if len(got) != 1 || got[0] != BigMachineThreads[0] {
+			t.Fatalf("E10 collected %v; want one point at %d threads", got, BigMachineThreads[0])
+		}
+	})
 }
 
 func TestExperimentNamesUnique(t *testing.T) {

@@ -49,8 +49,8 @@ func TestFindExperiment(t *testing.T) {
 	}
 }
 
-// TestCompareDetectsPerturbation: a different seed perturbs counters beyond
-// the exact-match tolerance; the same seed compares clean.
+// TestCompareDetectsPerturbation: a different seed perturbs counters, which
+// the exact comparison reports; the same seed compares clean.
 func TestCompareDetectsPerturbation(t *testing.T) {
 	e := FindExperiment("E1a")
 	base, _, err := RunExperimentJSON(e, tinyJSONOptions())
@@ -61,7 +61,7 @@ func TestCompareDetectsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs := CompareExperiments(base, same, DefaultTolerance()); len(regs) != 0 {
+	if regs := CompareExperiments(base, same); len(regs) != 0 {
 		t.Fatalf("same-seed run reported regressions: %v", regs)
 	}
 
@@ -71,7 +71,7 @@ func TestCompareDetectsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs := CompareExperiments(base, perturbed, DefaultTolerance()); len(regs) == 0 {
+	if regs := CompareExperiments(base, perturbed); len(regs) == 0 {
 		t.Fatal("perturbed run compared clean against the baseline")
 	}
 }
@@ -85,7 +85,7 @@ func TestCompareFlagsMissingPoints(t *testing.T) {
 			Points: []PointJSON{{Series: series, Threads: 2}},
 		}
 	}
-	regs := CompareExperiments(mk("a"), mk("b"), DefaultTolerance())
+	regs := CompareExperiments(mk("a"), mk("b"))
 	if len(regs) != 2 {
 		t.Fatalf("want 2 missing-point regressions, got %v", regs)
 	}
@@ -109,7 +109,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	if len(got.Experiments) != 1 || got.Experiments[0].Name != "figure3-aborts" {
 		t.Fatalf("round trip lost the experiment: %+v", got)
 	}
-	if regs := CompareExperiments(doc, got.Experiments[0], DefaultTolerance()); len(regs) != 0 {
+	if regs := CompareExperiments(doc, got.Experiments[0]); len(regs) != 0 {
 		t.Fatalf("round trip changed values: %v", regs)
 	}
 }
@@ -140,8 +140,7 @@ func TestProfilingDoesNotChangeResults(t *testing.T) {
 	}
 	if regs := CompareExperiments(
 		&ExperimentJSON{Points: []PointJSON{{Series: "s", Threads: 3, Ops: plain.Ops, Metrics: plain.Metrics}}},
-		&ExperimentJSON{Points: []PointJSON{{Series: "s", Threads: 3, Ops: profiled.Ops, Metrics: profiled.Metrics}}},
-		DefaultTolerance()); len(regs) != 0 {
+		&ExperimentJSON{Points: []PointJSON{{Series: "s", Threads: 3, Ops: profiled.Ops, Metrics: profiled.Metrics}}}); len(regs) != 0 {
 		t.Fatalf("profiling moved counters: %v", regs)
 	}
 	if profiled.Profile == nil || profiled.Profile.TotalCycles == 0 {

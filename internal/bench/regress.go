@@ -1,29 +1,14 @@
 package bench
 
 // Perf-regression gating: diff a fresh experiment run against a committed
-// baseline. The simulator is deterministic, so raw counters must match
-// exactly (tolerance 0 by default); derived rates and throughput are
-// floating-point and get a relative tolerance.
+// baseline. The simulator is deterministic, so every field — raw
+// counters, throughput and derived rates alike — must match exactly.
 
 import (
 	"fmt"
 	"math"
 	"sort"
 )
-
-// Tolerance bounds how far a current value may drift from the baseline
-// before it counts as a regression. Both are relative (|a−b|/max(|a|,|b|)).
-type Tolerance struct {
-	// Rate applies to throughput and derived rates.
-	Rate float64
-	// Counter applies to raw counters, gauges, and histogram totals.
-	// Zero means exact match — the right setting for a deterministic
-	// simulator.
-	Counter float64
-}
-
-// DefaultTolerance: counters exact, rates within 10%.
-func DefaultTolerance() Tolerance { return Tolerance{Rate: 0.10, Counter: 0} }
 
 // Regression is one baseline/current mismatch.
 type Regression struct {
@@ -41,17 +26,10 @@ func (r Regression) String() string {
 		r.Experiment, r.Series, r.Threads, r.Field, r.Baseline, r.Current, 100*r.RelDiff)
 }
 
-// relDiff is the symmetric relative difference; 0 when both are equal
-// (including both zero).
+// relDiff is the symmetric relative difference |a−b|/max(|a|,|b|) of
+// two unequal values.
 func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / m
+	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
 // pointKey matches points across documents.
@@ -61,11 +39,11 @@ type pointKey struct {
 }
 
 // CompareExperiments diffs current against baseline and returns every
-// field outside tolerance, in deterministic order.
-func CompareExperiments(baseline, current *ExperimentJSON, tol Tolerance) []Regression {
+// field whose value differs, in deterministic order.
+func CompareExperiments(baseline, current *ExperimentJSON) []Regression {
 	var out []Regression
-	add := func(key pointKey, field string, base, cur, limit float64) {
-		if d := relDiff(base, cur); d > limit {
+	add := func(key pointKey, field string, base, cur float64) {
+		if base != cur {
 			out = append(out, Regression{
 				Experiment: current.Name,
 				Series:     key.series,
@@ -73,7 +51,7 @@ func CompareExperiments(baseline, current *ExperimentJSON, tol Tolerance) []Regr
 				Field:      field,
 				Baseline:   base,
 				Current:    cur,
-				RelDiff:    d,
+				RelDiff:    relDiff(base, cur),
 			})
 		}
 	}
@@ -96,25 +74,25 @@ func CompareExperiments(baseline, current *ExperimentJSON, tol Tolerance) []Regr
 			})
 			continue
 		}
-		add(key, "ops", float64(base.Ops), float64(cur.Ops), tol.Counter)
-		add(key, "throughput", base.Throughput, cur.Throughput, tol.Rate)
-		add(key, "avg_segment_limit", base.AvgSegmentLimit, cur.AvgSegmentLimit, tol.Rate)
+		add(key, "ops", float64(base.Ops), float64(cur.Ops))
+		add(key, "throughput", base.Throughput, cur.Throughput)
+		add(key, "avg_segment_limit", base.AvgSegmentLimit, cur.AvgSegmentLimit)
 
 		for _, name := range sortedKeys(base.Derived, cur.Derived) {
-			add(key, "derived."+name, base.Derived[name], cur.Derived[name], tol.Rate)
+			add(key, "derived."+name, base.Derived[name], cur.Derived[name])
 		}
 		for _, name := range sortedKeys(base.Metrics.Counters, cur.Metrics.Counters) {
 			add(key, name, float64(base.Metrics.Counters[name]),
-				float64(cur.Metrics.Counters[name]), tol.Counter)
+				float64(cur.Metrics.Counters[name]))
 		}
 		for _, name := range sortedKeys(base.Metrics.Gauges, cur.Metrics.Gauges) {
 			add(key, name, float64(base.Metrics.Gauges[name]),
-				float64(cur.Metrics.Gauges[name]), tol.Counter)
+				float64(cur.Metrics.Gauges[name]))
 		}
 		for _, name := range sortedKeys(base.Metrics.Histograms, cur.Metrics.Histograms) {
 			b, c := base.Metrics.Histograms[name], cur.Metrics.Histograms[name]
-			add(key, name+".count", float64(b.Count), float64(c.Count), tol.Counter)
-			add(key, name+".sum", float64(b.Sum), float64(c.Sum), tol.Counter)
+			add(key, name+".count", float64(b.Count), float64(c.Count))
+			add(key, name+".sum", float64(b.Sum), float64(c.Sum))
 		}
 	}
 	for key := range basePoints {

@@ -1,8 +1,7 @@
 package bench
 
 // Edge cases of the regression gate and its baseline loading, plus the
-// content-addressing seam and the cancellation seam stbench's SIGINT
-// path builds on.
+// cancellation seam stbench's SIGINT path builds on.
 
 import (
 	"bytes"
@@ -10,13 +9,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"stacktrack/internal/cost"
 	"stacktrack/internal/metrics"
-	"stacktrack/internal/sched"
 )
 
 // tinyConfig keeps single-run tests fast (0.5ms virtual measurement).
@@ -27,11 +26,6 @@ func tinyConfig() Config {
 		MeasureCycles: cost.FromSeconds(0.0005),
 	}
 }
-
-type stubPolicy struct{}
-
-func (stubPolicy) Pick(*sched.Scheduler, []int) int   { return 0 }
-func (stubPolicy) Preempt(*sched.Scheduler, int) bool { return false }
 
 func point(series string, threads int, tweak func(*PointJSON)) PointJSON {
 	p := PointJSON{
@@ -52,7 +46,8 @@ func expDoc(points ...PointJSON) *ExperimentJSON {
 // TestCompareZeroValuedBaseline: a counter that is zero in the baseline
 // and nonzero now (or vice versa) is a full-scale (100%) relative
 // difference, never a divide-by-zero or a silent pass; zero on both
-// sides compares clean.
+// sides compares clean; and the comparison is exact, so even a one-ulp
+// throughput drift is reported.
 func TestCompareZeroValuedBaseline(t *testing.T) {
 	base := expDoc(point("a", 2, func(p *PointJSON) {
 		p.Metrics.Counters["mem.aborts"] = 0
@@ -60,7 +55,7 @@ func TestCompareZeroValuedBaseline(t *testing.T) {
 	cur := expDoc(point("a", 2, func(p *PointJSON) {
 		p.Metrics.Counters["mem.aborts"] = 7
 	}))
-	regs := CompareExperiments(base, cur, DefaultTolerance())
+	regs := CompareExperiments(base, cur)
 	if len(regs) != 1 || regs[0].Field != "mem.aborts" {
 		t.Fatalf("regs = %v", regs)
 	}
@@ -72,7 +67,7 @@ func TestCompareZeroValuedBaseline(t *testing.T) {
 	// current run lacks entirely (sortedKeys merges both key sets).
 	drop := expDoc(point("a", 2, nil))
 	delete(drop.Points[0].Metrics.Counters, "core.ops_fast")
-	if regs := CompareExperiments(expDoc(point("a", 2, nil)), drop, DefaultTolerance()); len(regs) != 1 {
+	if regs := CompareExperiments(expDoc(point("a", 2, nil)), drop); len(regs) != 1 {
 		t.Fatalf("dropped counter not flagged: %v", regs)
 	}
 
@@ -85,35 +80,20 @@ func TestCompareZeroValuedBaseline(t *testing.T) {
 		p.Ops, p.Throughput = 0, 0
 		p.Metrics.Counters = map[string]uint64{}
 	}))
-	if regs := CompareExperiments(zero, zero2, Tolerance{}); len(regs) != 0 {
+	if regs := CompareExperiments(zero, zero2); len(regs) != 0 {
 		t.Fatalf("all-zero baseline reported regressions: %v", regs)
 	}
-}
 
-// TestCompareToleranceBoundary: the gate is strictly `>`, so a drift of
-// exactly the tolerance passes and one epsilon past it fails — a
-// baseline sitting right at the limit stays green until it moves.
-func TestCompareToleranceBoundary(t *testing.T) {
-	tol := Tolerance{Rate: 0.10}
-	base := expDoc(point("a", 2, nil)) // throughput 50000
-
-	// relDiff is |a−b|/max: 50000 → 45000 is exactly 0.10 of 50000.
-	at := expDoc(point("a", 2, func(p *PointJSON) { p.Throughput = 45000 }))
-	for _, r := range CompareExperiments(base, at, tol) {
-		if r.Field == "throughput" {
-			t.Fatalf("exactly-at-tolerance drift flagged: %v", r)
-		}
+	// One ulp of throughput drift: no tolerance absorbs it.
+	ulp := expDoc(point("a", 2, func(p *PointJSON) {
+		p.Throughput = math.Nextafter(p.Throughput, math.Inf(1))
+	}))
+	regs = CompareExperiments(expDoc(point("a", 2, nil)), ulp)
+	if len(regs) != 1 || regs[0].Field != "throughput" {
+		t.Fatalf("one-ulp throughput drift: regs = %v", regs)
 	}
-
-	past := expDoc(point("a", 2, func(p *PointJSON) { p.Throughput = 44999 }))
-	found := false
-	for _, r := range CompareExperiments(base, past, tol) {
-		if r.Field == "throughput" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("past-tolerance drift not flagged")
+	if d := regs[0].RelDiff; d <= 0 || d > 1e-15 {
+		t.Fatalf("one-ulp rel diff = %g, want a tiny positive value", d)
 	}
 }
 
@@ -183,58 +163,6 @@ func TestSuggestExperiments(t *testing.T) {
 	}
 	if len(ExperimentInventory()) != len(Experiments) {
 		t.Fatal("inventory does not cover every experiment")
-	}
-}
-
-// TestExperimentKeyStable: the content address is a pure function of
-// the result-shaping options — host-side plumbing (progress writers,
-// collectors, contexts) never changes it, result-shaping fields do.
-func TestExperimentKeyStable(t *testing.T) {
-	e := FindExperiment("E1a")
-	o := Options{Threads: []int{2}, MeasureMs: 0.5, WarmupMs: 0.1}
-	k1, err := ExperimentKey(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withHost := o
-	withHost.Ctx = context.Background()
-	withHost.Collect = func(string, int, *Result) {}
-	k2, err := ExperimentKey(e, withHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatal("host-side options changed the content address")
-	}
-	seeded := o
-	seeded.Seed = 99
-	k3, err := ExperimentKey(e, seeded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3 == k1 {
-		t.Fatal("different seed, same content address")
-	}
-	other := FindExperiment("E1b")
-	k4, err := ExperimentKey(other, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k4 == k1 {
-		t.Fatal("different experiment, same content address")
-	}
-}
-
-// TestConfigKeyRefusesPolicies: a config carrying a custom scheduling
-// policy (code, not data) has no canonical serialization.
-func TestConfigKeyRefusesPolicies(t *testing.T) {
-	cfg := tinyConfig()
-	if _, err := ConfigKey(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Policy = stubPolicy{}
-	if _, err := ConfigKey(cfg); err == nil {
-		t.Fatal("policy config got a content key")
 	}
 }
 

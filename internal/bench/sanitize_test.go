@@ -1,39 +1,43 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
 
 // TestSanitizeBitIdenticalJSON is the sanitizer's read-only guarantee:
-// running E1a with the race detector and shadow sanitizer enabled must
-// export byte-for-byte the same JSON as running without them. Only the
-// report bundle (Result.San, not exported) may differ.
+// running E1a's list configurations with the race detector and shadow
+// sanitizer enabled must export byte-for-byte the same point JSON as
+// running without them. Only the report bundle (Result.San, not
+// exported) may differ.
 func TestSanitizeBitIdenticalJSON(t *testing.T) {
-	e := FindExperiment("E1a")
-	if e == nil {
-		t.Fatal("experiment E1a not registered")
-	}
-	opts := Options{Threads: []int{1, 2, 4}, MeasureMs: 1, WarmupMs: 0.2}
+	o := Options{Threads: []int{1, 2, 4}, MeasureMs: 1, WarmupMs: 0.2}.WithDefaults()
+	schemes := []string{SchemeOriginal, SchemeHazards, SchemeEpoch, SchemeStackTrack, SchemeDTA}
 
-	run := func(sanitize bool) []byte {
-		o := opts
-		o.Sanitize = sanitize
-		doc, _, err := RunExperimentJSON(e, o)
+	run := func(cfg Config, sanitize bool) []byte {
+		cfg.Sanitize = sanitize
+		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("RunExperimentJSON(sanitize=%v): %v", sanitize, err)
+			t.Fatalf("%s/%d threads (sanitize=%v): %v", cfg.Scheme, cfg.Threads, sanitize, err)
 		}
-		b, err := json.MarshalIndent(doc, "", "  ")
+		b, err := json.MarshalIndent(pointJSON(cfg.Scheme, cfg.Threads, res), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
 
-	plain := run(false)
-	sanitized := run(true)
-	if string(plain) != string(sanitized) {
-		t.Fatalf("enabling the sanitizer changed the exported JSON:\n--- without ---\n%.2000s\n--- with ---\n%.2000s", plain, sanitized)
+	for _, n := range o.Threads {
+		for _, s := range schemes {
+			cfg := o.cfg(StructList, s, n)
+			plain := run(cfg, false)
+			sanitized := run(cfg, true)
+			if !bytes.Equal(plain, sanitized) {
+				t.Fatalf("%s/%d threads: enabling the sanitizer changed the exported JSON:\n--- without ---\n%.2000s\n--- with ---\n%.2000s",
+					s, n, plain, sanitized)
+			}
+		}
 	}
 }
 

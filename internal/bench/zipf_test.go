@@ -35,30 +35,6 @@ func TestZipfianWorkloadRuns(t *testing.T) {
 	}
 }
 
-// TestZipfianConfigKeyDistinct: the distribution and its skew are part
-// of the content address, so skewed results never alias uniform ones.
-func TestZipfianConfigKeyDistinct(t *testing.T) {
-	base := smokeCfg(StructList, SchemeStackTrack, 3)
-	zipf := base
-	zipf.KeyDist = KeyDistZipfian
-	steeper := zipf
-	steeper.ZipfTheta = 0.5
-
-	keys := map[string]string{}
-	for name, cfg := range map[string]Config{"uniform": base, "zipf-default": zipf, "zipf-0.5": steeper} {
-		k, err := ConfigKey(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for other, ok := range keys {
-			if ok == k {
-				t.Fatalf("%s and %s share a config key", name, other)
-			}
-		}
-		keys[name] = k
-	}
-}
-
 // TestBadKeyDistRejected: an unknown key distribution, a Zipf skew
 // outside (0, 1), and a mutation or slow-path percentage outside
 // [0, 100] are configuration errors, not a silent fallback to some other

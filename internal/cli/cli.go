@@ -10,11 +10,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"syscall"
+
+	"stacktrack/internal/cost"
 )
 
 // Conventional exit codes.
@@ -76,4 +79,15 @@ func ParseIntList(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// VirtualMs converts the value of a virtual-time flag given in
+// milliseconds (-measure-ms, -warmup-ms) into cycles. A negative, NaN,
+// infinite or unrepresentably large value is an error naming the flag:
+// converted blindly it wraps to an effectively endless horizon.
+func VirtualMs(flag string, ms float64) (cost.Cycles, error) {
+	if !(ms >= 0) || ms/1000*cost.ClockHz >= math.MaxUint64 {
+		return 0, fmt.Errorf("-%s: %v is not a virtual time in ms (want a finite value >= 0)", flag, ms)
+	}
+	return cost.FromSeconds(ms / 1000), nil
 }

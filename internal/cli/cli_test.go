@@ -1,8 +1,12 @@
 package cli
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"stacktrack/internal/cost"
 )
 
 func TestSplitList(t *testing.T) {
@@ -34,6 +38,39 @@ func TestParseIntList(t *testing.T) {
 	for _, bad := range []string{"0", "-1", "two", "1,2,x"} {
 		if _, err := ParseIntList(bad); err == nil {
 			t.Errorf("ParseIntList(%q) did not fail", bad)
+		}
+	}
+}
+
+func TestVirtualMs(t *testing.T) {
+	cases := []struct {
+		ms   float64
+		want cost.Cycles
+		ok   bool
+	}{
+		{0, 0, true},
+		{1, cost.FromSeconds(0.001), true},
+		{20, cost.FromSeconds(0.020), true},
+		{-5, 0, false},
+		{-1, 0, false},
+		{math.Copysign(0, -1), 0, true},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+		{1e300, 0, false},
+	}
+	for _, c := range cases {
+		got, err := VirtualMs("measure-ms", c.ms)
+		if c.ok {
+			if err != nil || got != c.want {
+				t.Errorf("VirtualMs(%v) = %d, %v; want %d", c.ms, got, err, c.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("VirtualMs(%v) = %d, want an error", c.ms, got)
+		} else if !strings.Contains(err.Error(), "-measure-ms") {
+			t.Errorf("VirtualMs(%v) error %q does not name the flag", c.ms, err)
 		}
 	}
 }

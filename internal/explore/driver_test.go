@@ -90,3 +90,43 @@ func TestExploreRejectsBadStrategy(t *testing.T) {
 		t.Fatal("unknown strategy accepted")
 	}
 }
+
+// TestCampaignStopsAtFirstFailure: a one-worker campaign walks its seeds
+// in order and stops at the first failure, so it reports that seed after
+// exactly failAt−first+1 runs; with no failure in range it spends the
+// whole budget and reports none.
+func TestCampaignStopsAtFirstFailure(t *testing.T) {
+	const first, maxRuns = 10, 12
+
+	stub := func(failAt uint64) (*CampaignResult, error) {
+		return campaign(context.Background(), 1, Budget{MaxRuns: maxRuns}, first, nil,
+			func(seed uint64) (*Outcome, error) {
+				out := &Outcome{Log: &Log{}}
+				if seed == failAt {
+					out.Verdict = Verdict{Failed: true, Oracle: "stub"}
+				}
+				return out, nil
+			})
+	}
+
+	for failAt := uint64(first); failAt < first+maxRuns; failAt++ {
+		res, err := stub(failAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int(failAt-first) + 1; res.Runs != want {
+			t.Fatalf("fail@%d: %d runs, want %d", failAt, res.Runs, want)
+		}
+		if res.Failure == nil || res.Failure.Seed != failAt {
+			t.Fatalf("fail@%d: failure %v, want seed %d", failAt, res.Failure, failAt)
+		}
+	}
+
+	res, err := stub(first + maxRuns + 100) // never fails in range
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs != maxRuns || res.Failure != nil {
+		t.Fatalf("all-pass: %d runs, failure %v; want %d runs, none", res.Runs, res.Failure, maxRuns)
+	}
+}

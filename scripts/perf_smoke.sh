@@ -7,7 +7,9 @@
 #
 # Phase 1 — simulated bytes are sacred: regenerate the three committed
 # BENCH_<ID>.json baselines with the current binary and demand
-# byte-identity. This is the repository's one byte gate.
+# byte-identity. This is the repository's one byte gate. On a mismatch
+# it reruns the experiment under `stbench -compare` so the log names
+# every field that moved, not just the first differing byte.
 #
 # Phase 2 — host speed, parent against HEAD: build HEAD^ in a git
 # worktree and run the host-speed benchmark (benchmark/README.md) on both
@@ -38,6 +40,7 @@ echo "== phase 1: committed baselines are byte-identical =="
 for id in E1a E2b E3; do
   cmp "BENCH_$id.json" "$TMP/BENCH_$id.json" || {
     echo "FAIL: BENCH_$id.json is not byte-identical to a fresh run" >&2
+    ./bin/stbench -quick -run "$id" -compare . >&2 || true
     exit 1
   }
 done
