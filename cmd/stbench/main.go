@@ -83,6 +83,15 @@ func main() {
 		opts = bench.QuickOptions()
 		opts.Ctx = ctx
 	}
+	for _, f := range []struct {
+		name string
+		ms   float64
+	}{{"measure-ms", *measureMs}, {"warmup-ms", *warmupMs}} {
+		if _, err := cli.VirtualMs(f.name, f.ms); err != nil {
+			fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
+			cli.Exit(cli.ExitUsage)
+		}
+	}
 	if *measureMs > 0 {
 		opts.MeasureMs = *measureMs
 	}

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"stacktrack/internal/cli"
-	"stacktrack/internal/cost"
 	"stacktrack/internal/explore"
 	"stacktrack/internal/snap"
 )
@@ -104,16 +103,18 @@ func main() {
 		Strategy: *strategy, Depth: *depth, PreemptProb: *preemptProb,
 		CheckLin: *checkLin, CheckRaces: *checkRaces, CheckEffects: *checkEff,
 	}
-	if *measureMs > 0 {
-		cfg.MeasureCycles = cost.FromSeconds(*measureMs / 1000)
+	var err error
+	if cfg.MeasureCycles, err = cli.VirtualMs("measure-ms", *measureMs); err != nil {
+		fatal(err)
 	}
-	if *warmupMs >= 0 {
-		cfg.WarmupCycles = cost.FromSeconds(*warmupMs / 1000)
+	if *warmupMs != -1 {
+		if cfg.WarmupCycles, err = cli.VirtualMs("warmup-ms", *warmupMs); err != nil {
+			fatal(err)
+		}
 	}
 
 	var prog *explore.SeedProgress
 	if *resume != "" {
-		var err error
 		prog, err = explore.LoadSeedProgress(*resume, cfg, *forkHeap)
 		if err != nil {
 			fatal(err)
@@ -127,11 +128,10 @@ func main() {
 	defer cancel()
 
 	var res *explore.CampaignResult
-	var err error
 	if *forkHeap {
 		res, err = explore.ExploreForkHeap(ctx, cfg, *workers, explore.Budget{Wall: *budget, MaxRuns: *maxRuns}, prog)
 	} else {
-		res, err = explore.ExploreResumable(ctx, cfg, *workers, explore.Budget{Wall: *budget, MaxRuns: *maxRuns}, prog)
+		res, err = explore.Explore(ctx, cfg, *workers, explore.Budget{Wall: *budget, MaxRuns: *maxRuns}, prog)
 	}
 	if prog != nil {
 		if serr := prog.Save(); serr != nil {

@@ -32,8 +32,6 @@ import (
 	"os"
 	"strings"
 
-	"sort"
-
 	"stacktrack/internal/bench"
 	"stacktrack/internal/cli"
 	"stacktrack/internal/core"
@@ -311,26 +309,12 @@ func probeTo(cfg bench.Config, from *snap.State, v cost.Cycles) (ses *bench.Sess
 // reportProfile prints the virtual-cycle phase breakdown, largest first.
 func reportProfile(p *metrics.ProfileSummary) {
 	fmt.Println("\nvirtual-cycle profile")
-	type kv struct {
-		name   string
-		cycles uint64
-	}
-	var phases []kv
-	for name, c := range p.Phases {
-		phases = append(phases, kv{name, c})
-	}
-	sort.Slice(phases, func(i, j int) bool {
-		if phases[i].cycles != phases[j].cycles {
-			return phases[i].cycles > phases[j].cycles
-		}
-		return phases[i].name < phases[j].name
-	})
-	for _, ph := range phases {
+	for _, ph := range p.TopPhases() {
 		pct := 0.0
 		if p.TotalCycles > 0 {
-			pct = 100 * float64(ph.cycles) / float64(p.TotalCycles)
+			pct = 100 * float64(ph.Cycles) / float64(p.TotalCycles)
 		}
-		fmt.Printf("  %14d cycles  %5.1f%%  %s\n", ph.cycles, pct, ph.name)
+		fmt.Printf("  %14d cycles  %5.1f%%  %s\n", ph.Cycles, pct, ph.Name)
 	}
 	fmt.Printf("  %14d cycles total attributed\n", p.TotalCycles)
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"stacktrack/internal/core"
 	"stacktrack/internal/cost"
 	"stacktrack/internal/topo"
 )
@@ -100,7 +101,7 @@ func throughputSweep(structure string, schemes []string, o Options) (*Table, err
 	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, s := range schemes {
-			res, err := o.run(o.cfg(structure, s, n))
+			res, err := RunContext(o.Ctx, o.cfg(structure, s, n))
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +172,7 @@ func Figure2Hash(o Options) (*Table, error) {
 func listStackTrackSweep(o Options) ([]*Result, error) {
 	var out []*Result
 	for _, n := range o.Threads {
-		res, err := o.run(o.cfg(StructList, SchemeStackTrack, n))
+		res, err := RunContext(o.Ctx, o.cfg(StructList, SchemeStackTrack, n))
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +254,7 @@ func Figure5SlowPath(o Options) (*Table, error) {
 		for _, pct := range pcts {
 			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
 			cfg.Core.ForceSlowPct = pct
-			res, err := o.run(cfg)
+			res, err := RunContext(o.Ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +291,7 @@ func TableScanStats(o Options) (*Table, error) {
 		for _, every := range []int{1, 10} {
 			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
 			cfg.Core.MaxFree = every
-			res, err := o.run(cfg)
+			res, err := RunContext(o.Ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -333,7 +334,7 @@ func AblationScan(o Options) (*Table, error) {
 			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
 			cfg.Core.MaxFree = 64
 			cfg.Core.HashedScan = hashed
-			res, err := o.run(cfg)
+			res, err := RunContext(o.Ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -366,10 +367,10 @@ func AblationPredictor(o Options) (*Table, error) {
 	}
 	for _, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, policy := range []string{"additive", "aimd"} {
+		for _, policy := range []string{core.PredictorAdditive, core.PredictorAIMD} {
 			cfg := o.cfg(StructList, SchemeStackTrack, n)
 			cfg.Core.Predictor = policy
-			res, err := o.run(cfg)
+			res, err := RunContext(o.Ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -408,7 +409,7 @@ func AblationScanElide(o Options) (*Table, error) {
 			cfg := o.cfg(StructList, SchemeStackTrack, n)
 			cfg.Core.MaxFree = 1
 			cfg.NoScanElide = off
-			res, err := o.run(cfg)
+			res, err := RunContext(o.Ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -483,7 +484,7 @@ func ExtensionCrash(o Options) (*Table, error) {
 		for _, s := range schemes {
 			cfg := o.cfg(StructList, s, n)
 			cfg.CrashThreads = 1
-			res, err := o.run(cfg)
+			res, err := RunContext(o.Ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -514,7 +515,7 @@ func ExtensionBigMachine(o Options) (*Table, error) {
 		for _, s := range schemes {
 			cfg := o.cfg(StructSkipList, s, n)
 			cfg.Topology = big
-			res, err := o.run(cfg)
+			res, err := RunContext(o.Ctx, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -45,12 +45,6 @@ const (
 	StructRBTree   = "rbtree"
 )
 
-// Key distributions accepted by Config.KeyDist.
-const (
-	KeyDistUniform = "uniform"
-	KeyDistZipfian = "zipfian"
-)
-
 // Config describes one benchmark run.
 type Config struct {
 	Structure string
@@ -63,13 +57,6 @@ type Config struct {
 	KeyRange    uint64
 	MutatePct   int
 	Buckets     int // hash only
-
-	// KeyDist selects the key distribution for set structures:
-	// KeyDistUniform (the paper's workload, the default) or
-	// KeyDistZipfian, which skews operations onto a hot key prefix with
-	// skew ZipfTheta (0 = workload.DefaultZipfTheta).
-	KeyDist   string
-	ZipfTheta float64
 
 	// QueuePrefill seeds the queue before measurement.
 	QueuePrefill int
@@ -170,12 +157,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MutatePct == 0 {
 		c.MutatePct = 20
-	}
-	if c.KeyDist == "" {
-		c.KeyDist = KeyDistUniform
-	}
-	if c.KeyDist == KeyDistZipfian && c.ZipfTheta == 0 {
-		c.ZipfTheta = workload.DefaultZipfTheta
 	}
 	if c.Buckets == 0 {
 		c.Buckets = 4096
@@ -298,8 +279,7 @@ type instance struct {
 	histories  map[uint64][]KeyOp
 	histStarts []cost.Cycles
 
-	// Phase machine. runAll used to be straight-line code; it is a
-	// resumable state machine so a checkpoint can pause mid-phase and a
+	// Phase machine: resumable, so a checkpoint can pause mid-phase and a
 	// restored instance can continue from exactly where the save left off.
 	phase           int
 	horizon         cost.Cycles
@@ -322,21 +302,6 @@ const (
 	phaseMeasure
 	phaseMeasured
 )
-
-// Run executes one benchmark configuration end to end.
-func Run(cfg Config) (*Result, error) {
-	in, err := newInstance(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := in.runAll()
-	if err == nil {
-		// The run is complete and the Result is self-contained: recycle
-		// the (large) simulated memory for the sweep's next point.
-		in.m.Release()
-	}
-	return res, err
-}
 
 // newInstance assembles the simulation for cfg without running it.
 func newInstance(cfg Config) (*instance, error) {
@@ -518,12 +483,6 @@ func InitialKeys(cfg Config) map[uint64]bool {
 		out[k] = true
 	}
 	return out
-}
-
-// runAll executes the warmup, measurement, and drain phases.
-func (in *instance) runAll() (*Result, error) {
-	in.advance()
-	return in.finish()
 }
 
 // advance drives the phase machine until the measurement window completes
@@ -775,24 +734,6 @@ func (in *instance) classify(t *sched.Thread, op *prog.Op, result uint64) {
 	}
 }
 
-// setMix builds the set-structure operation mix, including the shared
-// Zipf state (O(KeyRange) setup, built once per run, read-only across
-// threads) when the config asks for skewed keys.
-func setMix(cfg Config) (workload.SetMix, error) {
-	mix := workload.SetMix{KeyRange: cfg.KeyRange, MutatePct: cfg.MutatePct}
-	switch cfg.KeyDist {
-	case "", KeyDistUniform:
-	case KeyDistZipfian:
-		if cfg.ZipfTheta <= 0 || cfg.ZipfTheta >= 1 {
-			return mix, fmt.Errorf("bench: zipf theta %v outside (0, 1)", cfg.ZipfTheta)
-		}
-		mix.Zipf = workload.NewZipf(cfg.KeyRange, cfg.ZipfTheta)
-	default:
-		return mix, fmt.Errorf("bench: unknown key distribution %q", cfg.KeyDist)
-	}
-	return mix, nil
-}
-
 // buildStructure creates and prefills the benchmark structure and returns
 // the per-thread workload function plus a baseline() that counts the
 // structure's legitimate live objects after drain.
@@ -805,10 +746,7 @@ func (in *instance) buildStructure() (func(t *sched.Thread) (*prog.Op, [3]uint64
 		in.registerOps(l.OpContains, l.OpInsert, l.OpDelete)
 		keys := workload.SampleKeys(cfg.Seed+1, cfg.InitialSize, cfg.KeyRange)
 		l.Seed(in.al, in.m, keys, 7)
-		mix, err := setMix(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
+		mix := workload.SetMix{KeyRange: cfg.KeyRange, MutatePct: cfg.MutatePct}
 		next := func(t *sched.Thread) (*prog.Op, [3]uint64) {
 			kind, key := mix.Next(t.Rng)
 			switch kind {
@@ -831,10 +769,7 @@ func (in *instance) buildStructure() (func(t *sched.Thread) (*prog.Op, [3]uint64
 		in.registerOps(h.OpContains, h.OpInsert, h.OpDelete)
 		keys := workload.SampleKeys(cfg.Seed+1, cfg.InitialSize, cfg.KeyRange)
 		h.Seed(in.al, in.m, keys, 7)
-		mix, err := setMix(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
+		mix := workload.SetMix{KeyRange: cfg.KeyRange, MutatePct: cfg.MutatePct}
 		next := func(t *sched.Thread) (*prog.Op, [3]uint64) {
 			kind, key := mix.Next(t.Rng)
 			switch kind {
@@ -855,10 +790,7 @@ func (in *instance) buildStructure() (func(t *sched.Thread) (*prog.Op, [3]uint64
 		in.registerOps(s.OpContains, s.OpInsert, s.OpDelete)
 		keys := workload.SampleKeys(cfg.Seed+1, cfg.InitialSize, cfg.KeyRange)
 		s.Seed(in.al, in.m, keys, 7, cfg.Seed+2)
-		mix, err := setMix(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
+		mix := workload.SetMix{KeyRange: cfg.KeyRange, MutatePct: cfg.MutatePct}
 		next := func(t *sched.Thread) (*prog.Op, [3]uint64) {
 			kind, key := mix.Next(t.Rng)
 			switch kind {

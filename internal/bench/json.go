@@ -1,8 +1,8 @@
 package bench
 
 // Versioned JSON export of experiment results: every point carries the raw
-// metric snapshot (bit-exact across same-seed runs, so baselines can demand
-// counter equality) plus a few derived rates (compared with tolerance).
+// metric snapshot plus a few derived rates. Both are bit-exact across
+// same-seed runs, so baselines demand equality of every field.
 
 import (
 	"context"
@@ -72,9 +72,8 @@ type PointJSON struct {
 	Profile         *metrics.ProfileSummary `json:"profile,omitempty"`
 }
 
-// derivedRates computes the per-point derived quantities. Unlike the raw
-// counters these are ratios, so regression gating compares them with a
-// relative tolerance rather than exact equality.
+// derivedRates computes the per-point derived quantities: ratios of the
+// raw counters, as deterministic as the counters themselves.
 func derivedRates(threads int, res *Result) map[string]float64 {
 	d := map[string]float64{}
 	if res.Core.Segments > 0 {

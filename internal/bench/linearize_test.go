@@ -190,7 +190,7 @@ func TestSetLinearizability(t *testing.T) {
 						origDone(th, o, result)
 					}
 				}
-				if _, err := in.runAll(); err != nil {
+				if _, err := (&Session{in: in}).Finish(); err != nil {
 					t.Fatal(err)
 				}
 				initial := map[uint64]bool{}

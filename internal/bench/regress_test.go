@@ -234,6 +234,51 @@ func TestRunContextCancels(t *testing.T) {
 		}
 	})
 
+	t.Run("live-profiled-traced", func(t *testing.T) {
+		// The profiler and tracer keep state outside any snapshot, but a
+		// run that only pauses to poll loses none of it.
+		for _, ring := range []bool{false, true} {
+			pcfg := cfg
+			pcfg.Profile, pcfg.TraceEvents, pcfg.RingTrace = true, 300, ring
+			ctx := liveCtx(t, 0)
+			a, err := RunContext(ctx, pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ctx.polls < 2 {
+				t.Fatalf("ring=%v: context polled %d times; the run never paused at a poll boundary", ring, ctx.polls)
+			}
+			b, err := Run(pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ja, err := json.Marshal(pointJSON("x", pcfg.Threads, a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := json.Marshal(pointJSON("x", pcfg.Threads, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ja, jb) {
+				t.Fatalf("ring=%v: RunContext point differs from Run:\n%s\n%s", ring, ja, jb)
+			}
+			if a.Folded == "" || a.Folded != b.Folded {
+				t.Fatalf("ring=%v: folded stacks differ from Run (or are empty)", ring)
+			}
+			var ta, tb bytes.Buffer
+			if err := a.Trace.Dump(&ta); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Trace.Dump(&tb); err != nil {
+				t.Fatal(err)
+			}
+			if ta.Len() == 0 || !bytes.Equal(ta.Bytes(), tb.Bytes()) {
+				t.Fatalf("ring=%v: trace dump differs from Run (or is empty)", ring)
+			}
+		}
+	})
+
 	t.Run("cancelled-mid-run", func(t *testing.T) {
 		// Poll 1 is the up-front check, poll 2 the first pause: the
 		// context fires at the second pause, well inside the run.

@@ -69,7 +69,7 @@ func TestSkipListRetireAudit(t *testing.T) {
 				t.Fatal(err)
 			}
 			ds.DebugCheckRetire = audit(in)
-			res, err := in.runAll()
+			res, err := (&Session{in: in}).Finish()
 			ds.DebugCheckRetire = nil
 			if err != nil {
 				t.Fatal(err)

@@ -2,7 +2,8 @@
 // benchmark run driven incrementally instead of end-to-end, pausable at a
 // scheduling-decision or virtual-time boundary, snapshotable at any
 // pause, and resumable — in this process (forking) or another one (disk
-// restore). A restored run is bit-identical to an uninterrupted one.
+// restore). A restored run is bit-identical to an uninterrupted one. Every
+// run executes through a Session; Run and RunContext simply never pause.
 //
 // Restore strategy: instead of patching a live run, a restore builds a
 // completely fresh instance from the same Config (closures, op tables,
@@ -100,22 +101,27 @@ type Session struct {
 	in *instance
 }
 
-// NewSession assembles a pausable run. The profiler and tracer keep state
-// outside the snapshot (both are observability-only), so they cannot be
-// combined with checkpointing; narrative replays run from scratch.
+// NewSession assembles a pausable run.
 func NewSession(cfg Config) (*Session, error) {
-	cfg = cfg.WithDefaults()
-	if cfg.Profile {
-		return nil, fmt.Errorf("bench: Profile is not supported with checkpointing (profiler state is not snapshotted)")
-	}
-	if cfg.TraceEvents > 0 {
-		return nil, fmt.Errorf("bench: TraceEvents is not supported with checkpointing (trace state is not snapshotted)")
-	}
 	in, err := newInstance(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{in: in}, nil
+}
+
+// checkpointable refuses the observability modes whose state lives
+// outside the snapshot: the profiler and the tracer would silently lose
+// everything recorded before a restore. Narrative replays therefore run
+// from scratch.
+func checkpointable(cfg Config) error {
+	if cfg.Profile {
+		return fmt.Errorf("bench: Profile is not supported with checkpointing (profiler state is not snapshotted)")
+	}
+	if cfg.TraceEvents > 0 {
+		return fmt.Errorf("bench: TraceEvents is not supported with checkpointing (trace state is not snapshotted)")
+	}
+	return nil
 }
 
 // Config returns the session's (defaulted) configuration.
@@ -169,11 +175,16 @@ func (s *Session) runToPause() bool {
 }
 
 // Finish runs the remainder of the benchmark uninterrupted and assembles
-// the result, exactly as Run would have.
+// the result. The Result is self-contained, so a successful Finish
+// recycles the (large) simulated memory: the session is spent.
 func (s *Session) Finish() (*Result, error) {
 	s.in.sc.ClearPause()
 	s.in.advance()
-	return s.in.finish()
+	res, err := s.in.finish()
+	if err == nil {
+		s.in.m.Release()
+	}
+	return res, err
 }
 
 // Snapshot copies out the complete simulator state. The returned State
@@ -181,6 +192,9 @@ func (s *Session) Finish() (*Result, error) {
 // State may seed any number of restores or forks.
 func (s *Session) Snapshot() (*snap.State, error) {
 	in := s.in
+	if err := checkpointable(in.cfg); err != nil {
+		return nil, err
+	}
 	if in.phase == phaseMeasured {
 		return nil, fmt.Errorf("bench: nothing to checkpoint after the measurement window")
 	}
@@ -203,23 +217,15 @@ func (s *Session) Snapshot() (*snap.State, error) {
 	return st, nil
 }
 
-// Fork snapshots this session and immediately builds an independent
-// branch from the snapshot. Cheap same-process copy-on-write at snapshot
-// granularity: no serialization is involved.
-func (s *Session) Fork() (*Session, error) {
-	st, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return SessionFromSnapshot(s.in.cfg, st)
-}
-
 // SessionFromSnapshot builds a fresh instance from cfg and injects the
 // snapshot's state, yielding a session positioned exactly where the
 // snapshot was taken. cfg must describe the same run the snapshot came
 // from (Policy may differ — it is the caller's job to position any
 // replay policy at st.Decisions()).
 func SessionFromSnapshot(cfg Config, st *snap.State) (*Session, error) {
+	if err := checkpointable(cfg); err != nil {
+		return nil, err
+	}
 	s, err := NewSession(cfg)
 	if err != nil {
 		return nil, err

@@ -337,21 +337,11 @@ func TestRunToVTime(t *testing.T) {
 }
 
 // TestSessionGuards: observability modes whose state is not snapshotted
-// are refused up front, and restoring under a different configuration
-// fails loudly rather than corrupting.
+// run and pause, but are refused where that state would be lost — at
+// Snapshot and at SessionFromSnapshot — and restoring under a different
+// configuration fails loudly rather than corrupting.
 func TestSessionGuards(t *testing.T) {
 	cfg := quickCfg(SchemeStackTrack)
-	cfg.Profile = true
-	if _, err := NewSession(cfg); err == nil {
-		t.Error("NewSession accepted Profile")
-	}
-	cfg = quickCfg(SchemeStackTrack)
-	cfg.TraceEvents = 10
-	if _, err := NewSession(cfg); err == nil {
-		t.Error("NewSession accepted TraceEvents")
-	}
-
-	cfg = quickCfg(SchemeStackTrack)
 	ses, err := NewSession(cfg)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -363,6 +353,31 @@ func TestSessionGuards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+	}{
+		{"Profile", func(c *Config) { c.Profile = true }},
+		{"TraceEvents", func(c *Config) { c.TraceEvents = 10 }},
+	} {
+		obs := quickCfg(SchemeStackTrack)
+		tc.tweak(&obs)
+		paused, err := NewSession(obs)
+		if err != nil {
+			t.Fatalf("NewSession with %s: %v", tc.name, err)
+		}
+		if !paused.RunToDecision(500) {
+			t.Fatalf("%s: pause did not fire", tc.name)
+		}
+		if _, err := paused.Snapshot(); err == nil {
+			t.Errorf("Snapshot accepted a session with %s", tc.name)
+		}
+		if _, err := SessionFromSnapshot(obs, st); err == nil {
+			t.Errorf("SessionFromSnapshot accepted a config with %s", tc.name)
+		}
+	}
+
 	other := cfg
 	other.Seed = cfg.Seed + 1
 	if _, err := SessionFromSnapshot(other, st); err == nil {

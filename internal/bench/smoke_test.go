@@ -81,3 +81,26 @@ func TestOversizedTopologyRejected(t *testing.T) {
 		t.Fatalf("%d-context topology: err = %v, want a hardware-context limit error", cfg.Topology.Contexts(), err)
 	}
 }
+
+// TestBadKeyDistRejected: a mutation or slow-path percentage outside
+// [0, 100] is a configuration error, not a silent fallback to some other
+// workload.
+func TestBadKeyDistRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+	}{
+		{"mutate=-1", func(c *Config) { c.MutatePct = -1 }},
+		{"mutate=101", func(c *Config) { c.MutatePct = 101 }},
+		{"slow=-1", func(c *Config) { c.Core.ForceSlowPct = -1 }},
+		{"slow=101", func(c *Config) { c.Core.ForceSlowPct = 101 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smokeCfg(StructList, SchemeStackTrack, 2)
+			tc.tweak(&cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Fatal("invalid config was accepted")
+			}
+		})
+	}
+}

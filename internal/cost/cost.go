@@ -66,9 +66,6 @@ const (
 	// (a plain store plus compiler ordering; no fence on TSO).
 	EpochTick Cycles = 12
 
-	// PreemptQuantum is the virtual time a thread spends descheduled when
-	// more threads than hardware contexts are runnable (~1 ms).
-	PreemptQuantum Cycles = 2_700_000
 	// TimesliceQuantum is the on-CPU time between preemptions of an
 	// oversubscribed thread (~1 ms).
 	TimesliceQuantum Cycles = 2_700_000

@@ -24,7 +24,7 @@ func TestRelativeMagnitudes(t *testing.T) {
 	if !(TxBegin+TxCommit < 3*Fence) {
 		t.Fatal("transaction entry/exit must stay cheaper than a few fences (the premise of §4)")
 	}
-	if !(PreemptQuantum > 1000*Fence) {
+	if !(TimesliceQuantum > 1000*Fence) {
 		t.Fatal("a scheduling quantum must dwarf synchronization costs")
 	}
 	if !(Checkpoint < Block) {

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"stacktrack/internal/bench"
-	"stacktrack/internal/snap"
 )
 
 // Budget bounds one exploration campaign. Zero fields mean unlimited; a
@@ -213,14 +212,10 @@ func (p *SeedProgress) saveLocked() error {
 // is immediately replayable and minimizable. workers <= 0 uses GOMAXPROCS.
 // Cancelling ctx stops the campaign at the next run boundary: completed
 // runs stand, the interrupted run is discarded, and the campaign returns
-// normally (callers that care distinguish via ctx.Err()).
-func Explore(ctx context.Context, cfg RunConfig, workers int, budget Budget) (*CampaignResult, error) {
-	return ExploreResumable(ctx, cfg, workers, budget, nil)
-}
-
-// ExploreResumable is Explore with optional progress persistence: already-
-// completed seeds are skipped and completions are recorded as they land.
-func ExploreResumable(ctx context.Context, cfg RunConfig, workers int, budget Budget, prog *SeedProgress) (*CampaignResult, error) {
+// normally (callers that care distinguish via ctx.Err()). A non-nil prog
+// persists progress: already-completed seeds are skipped and completions
+// are recorded as they land.
+func Explore(ctx context.Context, cfg RunConfig, workers int, budget Budget, prog *SeedProgress) (*CampaignResult, error) {
 	cfg = cfg.WithDefaults()
 	// Validate the configuration once, up front, so workers can treat
 	// errors as fatal bugs instead of racing to report them.
@@ -231,7 +226,7 @@ func ExploreResumable(ctx context.Context, cfg RunConfig, workers int, budget Bu
 		c := cfg
 		c.Seed = seed
 		c.StratSeed = 0 // re-derive per seed
-		return Record(c.WithDefaults())
+		return Record(c)
 	})
 }
 
@@ -262,42 +257,8 @@ func ExploreForkHeap(ctx context.Context, cfg RunConfig, workers int, budget Bud
 	return campaign(ctx, workers, budget, cfg.StratSeed, prog, func(seed uint64) (*Outcome, error) {
 		c := cfg
 		c.StratSeed = seed
-		return recordForked(c, base, n0)
+		return record(c, base, n0, 0)
 	})
-}
-
-// recordForked is Record over a forked warm snapshot: the strategy and the
-// recording both start at decision n0, where the snapshot was taken.
-// Restoring only reads the shared *snap.State, so concurrent workers fork
-// the same snapshot safely.
-func recordForked(cfg RunConfig, base *snap.State, n0 uint64) (*Outcome, error) {
-	strat, err := NewStrategy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rec := NewRecordingAt(strat, n0)
-	bc := cfg.benchConfig()
-	bc.Policy = rec
-	var crash any
-	var res *bench.Result
-	func() {
-		defer func() { crash = recover() }()
-		var ses *bench.Session
-		ses, err = bench.SessionFromSnapshot(bc, base)
-		if err != nil {
-			return
-		}
-		res, err = ses.Finish()
-	}()
-	if err != nil {
-		return nil, err
-	}
-	v := judge(cfg, res, crash)
-	log := &Log{Config: cfg, Decisions: rec.Decisions()}
-	if v.Failed {
-		log.Oracle = v.Oracle
-	}
-	return &Outcome{Config: cfg, Verdict: v, Log: log, Result: res, Steps: rec.Steps()}, nil
 }
 
 // campaign is the shared worker-pool core: claim a seed, run it, report

@@ -81,7 +81,7 @@ func TestSeedProgressResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExploreResumable(context.Background(), cfg, 1, Budget{MaxRuns: 5}, prog); err != nil {
+	if _, err := Explore(context.Background(), cfg, 1, Budget{MaxRuns: 5}, prog); err != nil {
 		t.Fatal(err)
 	}
 	if err := prog.Save(); err != nil {

@@ -8,7 +8,7 @@ import (
 
 func TestExploreFindsSeededFailure(t *testing.T) {
 	cfg := raceCfg("list", StrategyRandom, 1)
-	res, err := Explore(context.Background(), cfg, 1, Budget{MaxRuns: 64})
+	res, err := Explore(context.Background(), cfg, 1, Budget{MaxRuns: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +29,14 @@ func TestExploreFindsSeededFailure(t *testing.T) {
 
 func TestExploreParallelMatchesSerial(t *testing.T) {
 	cfg := raceCfg("list", StrategyRandom, 1)
-	serial, err := Explore(context.Background(), cfg, 1, Budget{MaxRuns: 64})
+	serial, err := Explore(context.Background(), cfg, 1, Budget{MaxRuns: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Failure == nil {
 		t.Fatal("serial campaign found nothing")
 	}
-	par, err := Explore(context.Background(), cfg, 4, Budget{MaxRuns: 64})
+	par, err := Explore(context.Background(), cfg, 4, Budget{MaxRuns: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 
 func TestExploreRespectsRunBudget(t *testing.T) {
 	cfg := tinyCfg("list", "stacktrack", StrategyRandom, 1)
-	res, err := Explore(context.Background(), cfg, 2, Budget{MaxRuns: 5})
+	res, err := Explore(context.Background(), cfg, 2, Budget{MaxRuns: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExploreRespectsRunBudget(t *testing.T) {
 func TestExploreRespectsWallBudget(t *testing.T) {
 	cfg := tinyCfg("list", "stacktrack", StrategyRandom, 1)
 	start := time.Now()
-	res, err := Explore(context.Background(), cfg, 2, Budget{Wall: 50 * time.Millisecond})
+	res, err := Explore(context.Background(), cfg, 2, Budget{Wall: 50 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExploreRespectsWallBudget(t *testing.T) {
 
 func TestExploreRejectsBadStrategy(t *testing.T) {
 	cfg := tinyCfg("list", "stacktrack", "no-such-strategy", 1)
-	if _, err := Explore(context.Background(), cfg, 2, Budget{MaxRuns: 2}); err == nil {
+	if _, err := Explore(context.Background(), cfg, 2, Budget{MaxRuns: 2}, nil); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }

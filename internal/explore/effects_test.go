@@ -73,7 +73,7 @@ func TestEffectOracleFreshSeeds(t *testing.T) {
 				Strategy:     StrategyRandom,
 				CheckEffects: true,
 			}
-			res, err := Explore(context.Background(), cfg, 2, Budget{MaxRuns: perStructure})
+			res, err := Explore(context.Background(), cfg, 2, Budget{MaxRuns: perStructure}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

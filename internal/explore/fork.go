@@ -69,10 +69,7 @@ func capturePrefixSnapshots(cfg RunConfig, decisions []Decision, points int) []s
 	if len(decisions) == 0 || points <= 0 {
 		return nil
 	}
-	cfg = cfg.WithDefaults()
-	bc := cfg.benchConfig()
-	bc.Policy = NewReplay(decisions)
-	ses, err := bench.NewSession(bc)
+	ses, err := newReplaySession(cfg.WithDefaults(), decisions)
 	if err != nil {
 		return nil
 	}
@@ -157,33 +154,6 @@ func CheckpointLog(log *Log) (*snap.State, error) {
 // newReplaySession builds a session replaying the given decisions.
 func newReplaySession(cfg RunConfig, decisions []Decision) (*bench.Session, error) {
 	bc := cfg.benchConfig()
-	bc.Policy = NewReplay(decisions)
+	bc.Policy = NewReplay(decisions, 0)
 	return bench.NewSession(bc)
-}
-
-// replayFromSnapshot resumes the run checkpointed in e under a replay of
-// decisions (only those with N >= e.n replay; the rest are already in the
-// snapshot) and judges the completed run — the forked equivalent of
-// ReplayLog. Applied deviations cover only the resumed tail.
-func replayFromSnapshot(cfg RunConfig, e *snapEntry, decisions []Decision) (*Outcome, error) {
-	cfg = cfg.WithDefaults()
-	rp := NewReplayAt(decisions, e.n)
-	bc := cfg.benchConfig()
-	bc.Policy = rp
-	var crash any
-	var res *bench.Result
-	var err error
-	func() {
-		defer func() { crash = recover() }()
-		var ses *bench.Session
-		ses, err = bench.SessionFromSnapshot(bc, e.state)
-		if err != nil {
-			return
-		}
-		res, err = ses.Finish()
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Config: cfg, Verdict: judge(cfg, res, crash), Result: res, Applied: rp.Applied()}, nil
 }

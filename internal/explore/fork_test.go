@@ -63,7 +63,7 @@ func TestReplayFromSnapshotMatchesScratch(t *testing.T) {
 				t.Fatalf("full list should resume from the deepest checkpoint (n=%d), got n=%d",
 					cache[len(cache)-1].n, e.n)
 			}
-			forked, err := replayFromSnapshot(log.Config, e, log.Decisions)
+			forked, err := replay(log.Config, log.Decisions, e.state, e.n, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,9 +143,7 @@ func TestMinimizeForkMatchesScratch(t *testing.T) {
 			opts := MinimizeOptions{MaxRuns: 400, SameOracle: true}
 
 			t0 := time.Now()
-			optsScratch := opts
-			optsScratch.NoFork = true
-			scratch, err := Minimize(log, optsScratch)
+			scratch, err := minimize(log, opts, false)
 			if err != nil {
 				t.Fatal(err)
 			}

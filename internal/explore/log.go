@@ -95,14 +95,11 @@ type Recording struct {
 	cur *Decision
 }
 
-// NewRecording wraps inner with deviation recording.
-func NewRecording(inner sched.Policy) *Recording { return &Recording{inner: inner} }
-
-// NewRecordingAt wraps inner with deviation recording for a run resumed
-// from a snapshot taken at decision boundary n: the first Pick call is
-// numbered n, so the recorded log lines up with a from-scratch replay
-// whose first n decisions follow the default rule.
-func NewRecordingAt(inner sched.Policy, n uint64) *Recording {
+// NewRecording wraps inner with deviation recording whose first Pick call
+// is decision number n: 0 for a run from scratch, or the decision boundary
+// a resumed run's snapshot was taken at, so the recorded log lines up with
+// a from-scratch replay whose first n decisions follow the default rule.
+func NewRecording(inner sched.Policy, n uint64) *Recording {
 	return &Recording{inner: inner, n: n}
 }
 
@@ -193,19 +190,12 @@ type Replay struct {
 	applied   []Applied
 }
 
-// NewReplay builds a replay policy over decisions (ascending by N).
-func NewReplay(decisions []Decision) *Replay { return &Replay{decisions: decisions} }
-
-// NewReplayAt builds a replay policy positioned mid-run: the next Pick
-// call is decision number n, and decisions with N < n are skipped as
-// already applied. This is the policy half of resuming from a snapshot
-// taken at decision boundary n.
-func NewReplayAt(decisions []Decision, n uint64) *Replay {
-	r := &Replay{decisions: decisions, n: n}
-	for r.idx < len(r.decisions) && r.decisions[r.idx].N < n {
-		r.idx++
-	}
-	return r
+// NewReplay builds a replay policy over decisions (ascending by N) whose
+// first Pick call is decision number n: 0 for a run from scratch, or the
+// decision boundary a resumed run's snapshot was taken at, in which case
+// decisions with N < n are skipped as already applied.
+func NewReplay(decisions []Decision, n uint64) *Replay {
+	return &Replay{decisions: decisions, n: n}
 }
 
 // Applied returns the deviations that actually fired during the replay.

@@ -24,10 +24,11 @@ func TestReplayRoundTrip(t *testing.T) {
 	const events = 1 << 14
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec, recTrace, err := RecordTraced(tc.cfg, events)
+			rec, err := record(tc.cfg, nil, 0, events)
 			if err != nil {
 				t.Fatal(err)
 			}
+			recTrace := rec.Result.Trace
 			rep, repTrace, err := ReplayLog(rec.Log, events)
 			if err != nil {
 				t.Fatal(err)

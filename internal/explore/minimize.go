@@ -9,6 +9,8 @@ package explore
 
 import (
 	"fmt"
+
+	"stacktrack/internal/snap"
 )
 
 // MinimizeOptions tunes the search.
@@ -22,11 +24,6 @@ type MinimizeOptions struct {
 	SameOracle bool
 	// Progress, when non-nil, observes (runs so far, current size).
 	Progress func(runs, size int)
-	// NoFork disables snapshot-accelerated replay: every candidate then
-	// runs from a cold start. The fork path is semantically identical
-	// (asserted by TestMinimizeForkMatchesScratch); this switch exists for
-	// that test and for measuring the speedup.
-	NoFork bool
 }
 
 // MinimizeResult is the outcome of a minimization.
@@ -48,6 +45,13 @@ type MinimizeResult struct {
 // deviations that still triggers its oracle. The input log must fail when
 // replayed; otherwise an error is returned.
 func Minimize(log *Log, opts MinimizeOptions) (*MinimizeResult, error) {
+	return minimize(log, opts, true)
+}
+
+// minimize is Minimize with snapshot-accelerated replay switchable: with
+// fork false every candidate runs from a cold start. The two are
+// semantically identical (asserted by TestMinimizeForkMatchesScratch).
+func minimize(log *Log, opts MinimizeOptions, fork bool) (*MinimizeResult, error) {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 2000
 	}
@@ -64,19 +68,19 @@ func Minimize(log *Log, opts MinimizeOptions) (*MinimizeResult, error) {
 	// whose first access predates the snapshot. The effect checker's
 	// findings are analysis-only in the same way, so effect-oracle runs
 	// replay from scratch too.
+	fork = fork && !log.Config.CheckRaces && !log.Config.CheckEffects
 	var cache []snapEntry
-	if !opts.NoFork && !log.Config.CheckRaces && !log.Config.CheckEffects {
+	if fork {
 		cache = capturePrefixSnapshots(log.Config, log.Decisions, snapCachePoints)
 	}
 	test := func(ds []Decision) (Verdict, bool) {
 		runs++
-		var out *Outcome
-		var err error
+		var from *snap.State
+		var n0 uint64
 		if e := bestSnapshot(cache, ds); e != nil {
-			out, err = replayFromSnapshot(log.Config, e, ds)
-		} else {
-			out, _, err = ReplayLog(&Log{Config: log.Config, Decisions: ds}, 0)
+			from, n0 = e.state, e.n
 		}
+		out, err := replay(log.Config, ds, from, n0, 0)
 		if err != nil {
 			return Verdict{}, false
 		}
@@ -129,8 +133,7 @@ func Minimize(log *Log, opts MinimizeOptions) (*MinimizeResult, error) {
 				// Re-checkpoint on the smaller list: as ddmin strips early
 				// deviations, the surviving prefix pushes deeper into the
 				// run and forked candidates skip correspondingly more.
-				// Same race-oracle gate as the initial capture above.
-				if !opts.NoFork && !log.Config.CheckRaces && !log.Config.CheckEffects {
+				if fork {
 					cache = capturePrefixSnapshots(log.Config, cur, snapCachePoints)
 				}
 				break

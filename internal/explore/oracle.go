@@ -19,7 +19,6 @@ const (
 	OracleLinearizable = "linearizability" // a key's completed ops admit no legal order
 	OracleRace         = "race"            // the sanitizer reported a data race or bad access
 	OracleEffects      = "effects"         // an executed block violated its declared effect sets
-	OracleLeak         = "leak"            // reserved; not judged by default
 )
 
 // Verdict is one run's judgement.

@@ -73,7 +73,7 @@ func TestRecordedLogGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := recordForked(cfg, base, base.Decisions())
+	out, err := record(cfg, base, base.Decisions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

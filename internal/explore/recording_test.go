@@ -50,7 +50,7 @@ func TestRecordingChunkBoundaries(t *testing.T) {
 	for _, entries := range []int{0, 1, recordChunk - 1, recordChunk, recordChunk + 1, 3 * recordChunk} {
 		for _, start := range []uint64{0, 5000} {
 			pol := &scripted{}
-			r := NewRecordingAt(pol, start)
+			r := NewRecording(pol, start)
 			var want []Decision
 			n := start
 			for len(want) < entries {

@@ -1,12 +1,15 @@
 package explore
 
 // Single-run execution: Record runs a strategy and captures its schedule
-// log; ReplayLog re-drives a run from a log. Both recover simulated crashes
-// (allocator panics) into the crash oracle instead of killing the process.
+// log; ReplayLog re-drives a run from a log. Both go through execute,
+// which runs from scratch or from a snapshot and recovers simulated
+// crashes (allocator panics) into the crash oracle instead of killing the
+// process.
 
 import (
 	"stacktrack/internal/bench"
 	"stacktrack/internal/sched"
+	"stacktrack/internal/snap"
 	"stacktrack/internal/trace"
 )
 
@@ -24,15 +27,30 @@ type Outcome struct {
 	Applied []Applied
 }
 
-// runJudged executes one simulation under the given policy and judges it.
-// A non-nil error is a configuration problem; simulated crashes (allocator
-// panics) become the crash oracle's verdict instead.
-func runJudged(cfg RunConfig, bc bench.Config, policy sched.Policy) (res *bench.Result, v Verdict, err error) {
+// execute runs one simulation of cfg under policy and judges it: from
+// scratch when from is nil, otherwise resumed from that snapshot (which
+// it only reads, so concurrent callers may share one). events > 0
+// attaches a ring trace of that many events, so the tail where failures
+// live survives any length of run. A non-nil error is a configuration
+// problem; simulated crashes become the crash oracle's verdict instead.
+func execute(cfg RunConfig, policy sched.Policy, from *snap.State, events int) (res *bench.Result, v Verdict, err error) {
+	bc := cfg.benchConfig()
 	bc.Policy = policy
+	if events > 0 {
+		bc.TraceEvents, bc.RingTrace = events, true
+	}
 	var crash any
 	func() {
 		defer func() { crash = recover() }()
-		res, err = bench.Run(bc)
+		var ses *bench.Session
+		if from != nil {
+			ses, err = bench.SessionFromSnapshot(bc, from)
+		} else {
+			ses, err = bench.NewSession(bc)
+		}
+		if err == nil {
+			res, err = ses.Finish()
+		}
 	}()
 	if err != nil {
 		return nil, Verdict{}, err
@@ -42,14 +60,20 @@ func runJudged(cfg RunConfig, bc bench.Config, policy sched.Policy) (res *bench.
 
 // Record runs cfg under its named strategy, recording the schedule, and
 // returns the judged outcome with a replayable log attached.
-func Record(cfg RunConfig) (*Outcome, error) {
+func Record(cfg RunConfig) (*Outcome, error) { return record(cfg, nil, 0, 0) }
+
+// record is Record resumed from snapshot from, taken at decision n0 (nil
+// and 0 for a run from scratch): the strategy and the recording both start
+// there, so the log lines up with a from-scratch replay whose first n0
+// decisions follow the default rule.
+func record(cfg RunConfig, from *snap.State, n0 uint64, events int) (*Outcome, error) {
 	cfg = cfg.WithDefaults()
 	strat, err := NewStrategy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rec := NewRecording(strat)
-	res, v, err := runJudged(cfg, cfg.benchConfig(), rec)
+	rec := NewRecording(strat, n0)
+	res, v, err := execute(cfg, rec, from, events)
 	if err != nil {
 		return nil, err
 	}
@@ -60,50 +84,25 @@ func Record(cfg RunConfig) (*Outcome, error) {
 	return &Outcome{Config: cfg, Verdict: v, Log: log, Result: res, Steps: rec.Steps()}, nil
 }
 
-// RecordTraced is Record with an event trace attached to the run: ring
-// mode, so the tail (where failures live) survives any length of run.
-func RecordTraced(cfg RunConfig, events int) (*Outcome, *trace.Recorder, error) {
-	cfg = cfg.WithDefaults()
-	strat, err := NewStrategy(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := NewRecording(strat)
-	bc := cfg.benchConfig()
-	bc.TraceEvents = events
-	bc.RingTrace = true
-	res, v, err := runJudged(cfg, bc, rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	log := &Log{Config: cfg, Decisions: rec.Decisions()}
-	if v.Failed {
-		log.Oracle = v.Oracle
-	}
-	out := &Outcome{Config: cfg, Verdict: v, Log: log, Result: res, Steps: rec.Steps()}
-	if res == nil {
-		return out, nil, nil
-	}
-	return out, res.Trace, nil
-}
-
 // ReplayLog re-drives the simulation from a schedule log and judges it.
 // events > 0 additionally records a ring trace of that many events.
 func ReplayLog(log *Log, events int) (*Outcome, *trace.Recorder, error) {
-	cfg := log.Config.WithDefaults()
-	rp := NewReplay(log.Decisions)
-	bc := cfg.benchConfig()
-	if events > 0 {
-		bc.TraceEvents = events
-		bc.RingTrace = true
+	out, err := replay(log.Config, log.Decisions, nil, 0, events)
+	if err != nil || out.Result == nil {
+		return out, nil, err
 	}
-	res, v, err := runJudged(cfg, bc, rp)
+	return out, out.Result.Trace, nil
+}
+
+// replay is ReplayLog over decisions resumed from snapshot from, taken at
+// decision n0: only decisions with N >= n0 replay (the rest are already in
+// the snapshot), so Applied covers only the resumed tail.
+func replay(cfg RunConfig, decisions []Decision, from *snap.State, n0 uint64, events int) (*Outcome, error) {
+	cfg = cfg.WithDefaults()
+	rp := NewReplay(decisions, n0)
+	res, v, err := execute(cfg, rp, from, events)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out := &Outcome{Config: cfg, Verdict: v, Result: res, Applied: rp.Applied()}
-	if res == nil {
-		return out, nil, nil
-	}
-	return out, res.Trace, nil
+	return &Outcome{Config: cfg, Verdict: v, Result: res, Applied: rp.Applied()}, nil
 }

@@ -12,8 +12,6 @@
 // merge-on-read, not for synchronization.
 package metrics
 
-import "sort"
-
 // MaxThreads mirrors mem.MaxThreads: per-thread metric lanes are fixed
 // arrays so recording never allocates or bounds-checks a map.
 const MaxThreads = 64
@@ -300,15 +298,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names reports every registered metric name, sorted. Useful for
-// debugging and for stable iteration in reports.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.index))
-	for n := range r.index {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

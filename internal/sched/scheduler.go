@@ -228,9 +228,6 @@ func (s *Scheduler) SetPolicy(p Policy) { s.policy = p }
 
 // --- Policy observation accessors -----------------------------------------
 
-// NumContexts returns the number of hardware contexts.
-func (s *Scheduler) NumContexts() int { return len(s.queues) }
-
 // QueueLen returns how many threads are queued on context ctx (the occupant
 // included).
 func (s *Scheduler) QueueLen(ctx int) int { return len(s.queues[ctx]) }
@@ -252,24 +249,6 @@ func (s *Scheduler) OccupantID(ctx int) int {
 		return t.ID
 	}
 	return -1
-}
-
-// OccupantVTime returns the occupant thread's virtual clock (0 if empty).
-func (s *Scheduler) OccupantVTime(ctx int) cost.Cycles {
-	if t := s.occ[ctx]; t != nil {
-		return t.vtime
-	}
-	return 0
-}
-
-// SliceElapsed returns how long the occupant of ctx has been on-CPU in this
-// timeslice (virtual cycles).
-func (s *Scheduler) SliceElapsed(ctx int) cost.Cycles {
-	t := s.occ[ctx]
-	if t == nil || t.vtime < s.sliceStart[ctx] {
-		return 0
-	}
-	return t.vtime - s.sliceStart[ctx]
 }
 
 // DefaultPick is the built-in virtual-time rule: the candidate whose

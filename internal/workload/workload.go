@@ -19,9 +19,6 @@ type SetMix struct {
 	// MutatePct is the percentage of operations that mutate, split evenly
 	// between inserts and deletes (the paper uses 20%).
 	MutatePct int
-	// Zipf, when non-nil, replaces the uniform key draw with a Zipfian
-	// one over [1, Zipf.N()] — the hot-prefix skew of NewZipf.
-	Zipf *Zipf
 }
 
 // SetOp is one generated set operation.
@@ -36,12 +33,7 @@ const (
 
 // Next draws the next operation and key.
 func (m SetMix) Next(r *rng.Rand) (SetOp, uint64) {
-	var key uint64
-	if m.Zipf != nil {
-		key = m.Zipf.Next(r)
-	} else {
-		key = 1 + r.Uint64n(m.KeyRange)
-	}
+	key := 1 + r.Uint64n(m.KeyRange)
 	p := r.Intn(100)
 	switch {
 	case p < m.MutatePct/2:
