@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"stacktrack/internal/core"
@@ -41,6 +42,10 @@ type Options struct {
 	// scheduling-decision boundaries inside a point via RunContext. The
 	// sweep returns the context's error; points already collected stand.
 	Ctx context.Context
+
+	// workers is how many points run at once (runPoints); 0 means
+	// GOMAXPROCS. Tests set it to check that results do not depend on it.
+	workers int
 }
 
 // WithDefaults fills an Options with full-figure parameters.
@@ -83,34 +88,17 @@ func (o Options) cfg(structure, scheme string, threads int) Config {
 	}
 }
 
-func (o Options) collect(series string, threads int, res *Result) {
-	if o.Collect != nil {
-		o.Collect(series, threads, res)
-	}
-}
-
-func (o Options) progress(format string, args ...any) {
-	if o.Progress != nil {
-		fmt.Fprintf(o.Progress, format+"\n", args...)
-	}
-}
-
 // throughputSweep runs structure × schemes × threads and returns ops/sec.
 func throughputSweep(structure string, schemes []string, o Options) (*Table, error) {
-	tb := &Table{Cols: append([]string{"threads"}, schemes...)}
-	for _, n := range o.Threads {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, s := range schemes {
-			res, err := RunContext(o.Ctx, o.cfg(structure, s, n))
-			if err != nil {
-				return nil, err
-			}
-			o.collect(s, n, res)
-			row = append(row, f0(res.Throughput))
-			o.progress("%s %s threads=%d: %.0f ops/s", structure, s, n, res.Throughput)
-		}
-		tb.AddRow(row...)
+	rows, err := o.sweep(o.Threads, schemes, func(s string, n int) Config { return o.cfg(structure, s, n) },
+		func(p sweepPoint, res *Result) string {
+			return fmt.Sprintf("%s %s threads=%d: %.0f ops/s", structure, p.series, p.threads, res.Throughput)
+		})
+	if err != nil {
+		return nil, err
 	}
+	tb := &Table{Cols: append([]string{"threads"}, schemes...)}
+	tb.addRows(o.Threads, rows, func(res *Result) []string { return []string{f0(res.Throughput)} })
 	return tb, nil
 }
 
@@ -170,16 +158,17 @@ func Figure2Hash(o Options) (*Table, error) {
 // listStackTrackSweep runs the list benchmark under StackTrack once per
 // thread count (Figures 3 and 4 share it); results align with o.Threads.
 func listStackTrackSweep(o Options) ([]*Result, error) {
-	var out []*Result
-	for _, n := range o.Threads {
-		res, err := RunContext(o.Ctx, o.cfg(StructList, SchemeStackTrack, n))
-		if err != nil {
-			return nil, err
-		}
-		o.collect(SchemeStackTrack, n, res)
-		o.progress("list StackTrack threads=%d: %.0f ops/s, %d conflict aborts, %d capacity aborts",
-			n, res.Throughput, res.Mem.ConflictAborts, res.Mem.CapacityAborts)
-		out = append(out, res)
+	rows, err := o.sweep(o.Threads, []string{SchemeStackTrack}, func(s string, n int) Config { return o.cfg(StructList, s, n) },
+		func(p sweepPoint, res *Result) string {
+			return fmt.Sprintf("list StackTrack threads=%d: %.0f ops/s, %d conflict aborts, %d capacity aborts",
+				p.threads, res.Throughput, res.Mem.ConflictAborts, res.Mem.CapacityAborts)
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(rows))
+	for i, row := range rows {
+		out[i] = row[0]
 	}
 	return out, nil
 }
@@ -244,30 +233,30 @@ func Figure4Splits(o Options) (*Table, error) {
 func Figure5SlowPath(o Options) (*Table, error) {
 	o = o.WithDefaults()
 	pcts := []int{0, 10, 50, 100}
+	series := []string{"Slow-0", "Slow-10", "Slow-50", "Slow-100"}
+	rows, err := o.sweep(o.Threads, series, func(s string, n int) Config {
+		cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
+		cfg.Core.ForceSlowPct = pcts[slices.Index(series, s)]
+		return cfg
+	}, func(p sweepPoint, res *Result) string {
+		return fmt.Sprintf("skiplist slow=%d%% threads=%d: %.0f ops/s", p.cfg.Core.ForceSlowPct, p.threads, res.Throughput)
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := &Table{
 		Title: "Figure 5 — SkipList: slow-path fallback impact (relative to 0% slow)",
-		Cols:  []string{"threads", "Slow-0", "Slow-10", "Slow-50", "Slow-100"},
+		Cols:  append([]string{"threads"}, series...),
 	}
-	for _, n := range o.Threads {
+	for i, n := range o.Threads {
 		row := []string{fmt.Sprintf("%d", n)}
-		var base float64
-		for _, pct := range pcts {
-			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
-			cfg.Core.ForceSlowPct = pct
-			res, err := RunContext(o.Ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if pct == 0 {
-				base = res.Throughput
-			}
+		base := rows[i][0].Throughput
+		for _, res := range rows[i] {
 			rel := 0.0
 			if base > 0 {
 				rel = 100 * res.Throughput / base
 			}
-			o.collect(fmt.Sprintf("Slow-%d", pct), n, res)
 			row = append(row, fmt.Sprintf("%.1f%%", rel))
-			o.progress("skiplist slow=%d%% threads=%d: %.0f ops/s", pct, n, res.Throughput)
 		}
 		tb.AddRow(row...)
 	}
@@ -280,37 +269,36 @@ func Figure5SlowPath(o Options) (*Table, error) {
 // scan's share of total cycles.
 func TableScanStats(o Options) (*Table, error) {
 	o = o.WithDefaults()
+	every := []int{1, 10}
+	series := []string{"F1", "F10"}
+	rows, err := o.sweep(o.Threads, series, func(s string, n int) Config {
+		cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
+		cfg.Core.MaxFree = every[slices.Index(series, s)]
+		return cfg
+	}, func(p sweepPoint, res *Result) string {
+		return fmt.Sprintf("skiplist scanevery=%d threads=%d: %.0f ops/s scans=%d", p.cfg.Core.MaxFree, p.threads, res.Throughput, res.Core.Scans)
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := &Table{
 		Title: "Scan statistics — SkipList (scan every 1 vs 10 frees)",
 		Cols: []string{"threads",
 			"ops/s(F1)", "scans(F1)", "depth(F1)", "penalty%(F1)",
 			"ops/s(F10)", "scans(F10)", "depth(F10)", "penalty%(F10)"},
 	}
-	for _, n := range o.Threads {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, every := range []int{1, 10} {
-			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
-			cfg.Core.MaxFree = every
-			res, err := RunContext(o.Ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			o.collect(fmt.Sprintf("F%d", every), n, res)
-			depth := 0.0
-			if res.Core.ScanTargets > 0 {
-				depth = float64(res.Core.ScannedDepth) / float64(res.Core.ScanTargets)
-			}
-			// Scan cycles ≈ words inspected × (load + compare cost),
-			// as a share of all cycles burned by all threads.
-			scanCycles := float64(res.Core.ScannedWords) * float64(cost.Load+cost.ScanWord)
-			total := float64(n) * float64(res.Config.MeasureCycles)
-			penalty := 100 * scanCycles / total
-			row = append(row, f0(res.Throughput),
-				fmt.Sprintf("%d", res.Core.Scans), f2(depth), f2(penalty))
-			o.progress("skiplist scanevery=%d threads=%d: %.0f ops/s scans=%d", every, n, res.Throughput, res.Core.Scans)
+	tb.addRows(o.Threads, rows, func(res *Result) []string {
+		depth := 0.0
+		if res.Core.ScanTargets > 0 {
+			depth = float64(res.Core.ScannedDepth) / float64(res.Core.ScanTargets)
 		}
-		tb.AddRow(row...)
-	}
+		// Scan cycles ≈ words inspected × (load + compare cost),
+		// as a share of all cycles burned by all threads.
+		scanCycles := float64(res.Core.ScannedWords) * float64(cost.Load+cost.ScanWord)
+		total := float64(res.Config.Threads) * float64(res.Config.MeasureCycles)
+		penalty := 100 * scanCycles / total
+		return []string{f0(res.Throughput), fmt.Sprintf("%d", res.Core.Scans), f2(depth), f2(penalty)}
+	})
 	return tb, nil
 }
 
@@ -321,6 +309,18 @@ func TableScanStats(o Options) (*Table, error) {
 // comparison and makes the crossover measurable.
 func AblationScan(o Options) (*Table, error) {
 	o = o.WithDefaults()
+	series := []string{"per-ptr", "hashed"}
+	rows, err := o.sweep(o.Threads, series, func(s string, n int) Config {
+		cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
+		cfg.Core.MaxFree = 64
+		cfg.Core.HashedScan = s == "hashed"
+		return cfg
+	}, func(p sweepPoint, res *Result) string {
+		return fmt.Sprintf("ablation-scan hashed=%v threads=%d: %.0f ops/s", p.cfg.Core.HashedScan, p.threads, res.Throughput)
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := &Table{
 		Title: "Ablation — SCAN_AND_FREE strategy (skip list, 64-node free batches)",
 		Note:  "per-ptr = Algorithm 1 as written (one pass per pointer); hashed = §5.2 one-pass optimization",
@@ -328,30 +328,13 @@ func AblationScan(o Options) (*Table, error) {
 			"ops/s(per-ptr)", "words/scan(per-ptr)",
 			"ops/s(hashed)", "words/scan(hashed)"},
 	}
-	for _, n := range o.Threads {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, hashed := range []bool{false, true} {
-			cfg := o.cfg(StructSkipList, SchemeStackTrack, n)
-			cfg.Core.MaxFree = 64
-			cfg.Core.HashedScan = hashed
-			res, err := RunContext(o.Ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			variant := "per-ptr"
-			if hashed {
-				variant = "hashed"
-			}
-			o.collect(variant, n, res)
-			perScan := 0.0
-			if res.Core.Scans > 0 {
-				perScan = float64(res.Core.ScannedWords) / float64(res.Core.Scans)
-			}
-			row = append(row, f0(res.Throughput), f2(perScan))
-			o.progress("ablation-scan hashed=%v threads=%d: %.0f ops/s", hashed, n, res.Throughput)
+	tb.addRows(o.Threads, rows, func(res *Result) []string {
+		perScan := 0.0
+		if res.Core.Scans > 0 {
+			perScan = float64(res.Core.ScannedWords) / float64(res.Core.Scans)
 		}
-		tb.AddRow(row...)
-	}
+		return []string{f0(res.Throughput), f2(perScan)}
+	})
 	return tb, nil
 }
 
@@ -359,31 +342,30 @@ func AblationScan(o Options) (*Table, error) {
 // against an AIMD variant (§7 calls improved segmentation future work).
 func AblationPredictor(o Options) (*Table, error) {
 	o = o.WithDefaults()
+	series := []string{core.PredictorAdditive, core.PredictorAIMD}
+	rows, err := o.sweep(o.Threads, series, func(s string, n int) Config {
+		cfg := o.cfg(StructList, SchemeStackTrack, n)
+		cfg.Core.Predictor = s
+		return cfg
+	}, func(p sweepPoint, res *Result) string {
+		return fmt.Sprintf("ablation-predictor %s threads=%d: %.0f ops/s", p.series, p.threads, res.Throughput)
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := &Table{
 		Title: "Ablation — split-length predictor policy (list)",
 		Cols: []string{"threads",
 			"ops/s(additive)", "len(additive)",
 			"ops/s(aimd)", "len(aimd)"},
 	}
-	for _, n := range o.Threads {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, policy := range []string{core.PredictorAdditive, core.PredictorAIMD} {
-			cfg := o.cfg(StructList, SchemeStackTrack, n)
-			cfg.Core.Predictor = policy
-			res, err := RunContext(o.Ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			o.collect(policy, n, res)
-			avgLen := 0.0
-			if res.Core.Segments > 0 {
-				avgLen = float64(res.Core.SegmentBlocks) / float64(res.Core.Segments)
-			}
-			row = append(row, f0(res.Throughput), f2(avgLen))
-			o.progress("ablation-predictor %s threads=%d: %.0f ops/s", policy, n, res.Throughput)
+	tb.addRows(o.Threads, rows, func(res *Result) []string {
+		avgLen := 0.0
+		if res.Core.Segments > 0 {
+			avgLen = float64(res.Core.SegmentBlocks) / float64(res.Core.Segments)
 		}
-		tb.AddRow(row...)
-	}
+		return []string{f0(res.Throughput), f2(avgLen)}
+	})
 	return tb, nil
 }
 
@@ -395,6 +377,18 @@ func AblationPredictor(o Options) (*Table, error) {
 // counts words the masks proved never hold a live heap pointer.
 func AblationScanElide(o Options) (*Table, error) {
 	o = o.WithDefaults()
+	series := []string{"elide", "full"}
+	rows, err := o.sweep(o.Threads, series, func(s string, n int) Config {
+		cfg := o.cfg(StructList, SchemeStackTrack, n)
+		cfg.Core.MaxFree = 1
+		cfg.NoScanElide = s == "full"
+		return cfg
+	}, func(p sweepPoint, res *Result) string {
+		return fmt.Sprintf("ablation-scanelide %s threads=%d: %.0f ops/s scanned=%d", p.series, p.threads, res.Throughput, res.Core.ScannedWords)
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := &Table{
 		Title: "Ablation — dataflow scan elision (list, scan per free)",
 		Note:  "elide = per-op track masks from internal/prog/dataflow; full = every stack word and register",
@@ -402,38 +396,15 @@ func AblationScanElide(o Options) (*Table, error) {
 			"ops/s(elide)", "scanned(elide)", "elided",
 			"ops/s(full)", "scanned(full)", "saved%"},
 	}
-	for _, n := range o.Threads {
-		row := []string{fmt.Sprintf("%d", n)}
-		var scannedElide uint64
-		for _, off := range []bool{false, true} {
-			cfg := o.cfg(StructList, SchemeStackTrack, n)
-			cfg.Core.MaxFree = 1
-			cfg.NoScanElide = off
-			res, err := RunContext(o.Ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			variant := "elide"
-			if off {
-				variant = "full"
-			}
-			o.collect(variant, n, res)
-			if off {
-				saved := 0.0
-				if res.Core.ScannedWords > 0 {
-					saved = 100 * (1 - float64(scannedElide)/float64(res.Core.ScannedWords))
-				}
-				row = append(row, f0(res.Throughput),
-					fmt.Sprintf("%d", res.Core.ScannedWords), fmt.Sprintf("%.1f%%", saved))
-			} else {
-				scannedElide = res.Core.ScannedWords
-				row = append(row, f0(res.Throughput),
-					fmt.Sprintf("%d", res.Core.ScannedWords),
-					fmt.Sprintf("%d", res.Core.ElidedWords))
-			}
-			o.progress("ablation-scanelide %s threads=%d: %.0f ops/s scanned=%d", variant, n, res.Throughput, res.Core.ScannedWords)
+	for i, n := range o.Threads {
+		elide, full := rows[i][0], rows[i][1]
+		saved := 0.0
+		if full.Core.ScannedWords > 0 {
+			saved = 100 * (1 - float64(elide.Core.ScannedWords)/float64(full.Core.ScannedWords))
 		}
-		tb.AddRow(row...)
+		tb.AddRow(fmt.Sprintf("%d", n),
+			f0(elide.Throughput), fmt.Sprintf("%d", elide.Core.ScannedWords), fmt.Sprintf("%d", elide.Core.ElidedWords),
+			f0(full.Throughput), fmt.Sprintf("%d", full.Core.ScannedWords), fmt.Sprintf("%.1f%%", saved))
 	}
 	return tb, nil
 }
@@ -467,6 +438,22 @@ func ExtensionSchemes(o Options) (*Table, error) {
 func ExtensionCrash(o Options) (*Table, error) {
 	o = o.WithDefaults()
 	schemes := []string{SchemeEpoch, SchemeHazards, SchemeDTA, SchemeStackTrack}
+	var threads []int
+	for _, n := range o.Threads {
+		if n >= 2 { // need a survivor and a victim
+			threads = append(threads, n)
+		}
+	}
+	rows, err := o.sweep(threads, schemes, func(s string, n int) Config {
+		cfg := o.cfg(StructList, s, n)
+		cfg.CrashThreads = 1
+		return cfg
+	}, func(p sweepPoint, res *Result) string {
+		return fmt.Sprintf("crash %s threads=%d: %.0f ops/s, %d unreclaimed", p.series, p.threads, res.Throughput, res.LeakedObjects)
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := &Table{
 		Title: "Extension — one thread crashed mid-operation (list)",
 		Note:  "unreclaimed = objects beyond the structure's membership after drain",
@@ -476,24 +463,9 @@ func ExtensionCrash(o Options) (*Table, error) {
 			"ops/s(DTA)", "unreclaimed(DTA)",
 			"ops/s(StackTrack)", "unreclaimed(StackTrack)"},
 	}
-	for _, n := range o.Threads {
-		if n < 2 {
-			continue // need a survivor and a victim
-		}
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, s := range schemes {
-			cfg := o.cfg(StructList, s, n)
-			cfg.CrashThreads = 1
-			res, err := RunContext(o.Ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			o.collect(s, n, res)
-			row = append(row, f0(res.Throughput), fmt.Sprintf("%d", res.LeakedObjects+uint64(res.PendingFrees)))
-			o.progress("crash %s threads=%d: %.0f ops/s, %d unreclaimed", s, n, res.Throughput, res.LeakedObjects)
-		}
-		tb.AddRow(row...)
-	}
+	tb.addRows(threads, rows, func(res *Result) []string {
+		return []string{f0(res.Throughput), fmt.Sprintf("%d", res.LeakedObjects+uint64(res.PendingFrees))}
+	})
 	return tb, nil
 }
 
@@ -506,25 +478,21 @@ func ExtensionBigMachine(o Options) (*Table, error) {
 	big := topo.Haswell8Way()
 	big.Cores = 16
 	schemes := []string{SchemeOriginal, SchemeHazards, SchemeEpoch, SchemeStackTrack}
+	rows, err := o.sweep(BigMachineThreads, schemes, func(s string, n int) Config {
+		cfg := o.cfg(StructSkipList, s, n)
+		cfg.Topology = big
+		return cfg
+	}, func(p sweepPoint, res *Result) string {
+		return fmt.Sprintf("bigmachine %s threads=%d: %.0f ops/s", p.series, p.threads, res.Throughput)
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := &Table{
 		Title: "Extension — 16-core × 2-HT machine, skip list (§7's scaling prediction)",
 		Cols:  append([]string{"threads"}, schemes...),
 	}
-	for _, n := range BigMachineThreads {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, s := range schemes {
-			cfg := o.cfg(StructSkipList, s, n)
-			cfg.Topology = big
-			res, err := RunContext(o.Ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			o.collect(s, n, res)
-			row = append(row, f0(res.Throughput))
-			o.progress("bigmachine %s threads=%d: %.0f ops/s", s, n, res.Throughput)
-		}
-		tb.AddRow(row...)
-	}
+	tb.addRows(BigMachineThreads, rows, func(res *Result) []string { return []string{f0(res.Throughput)} })
 	return tb, nil
 }
 

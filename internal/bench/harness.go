@@ -759,7 +759,7 @@ func (in *instance) buildStructure() (func(t *sched.Thread) (*prog.Op, [3]uint64
 			}
 		}
 		baseline := func() uint64 {
-			return uint64(len(ds.Walk(in.m, l.Head(), cfg.MemWords)))
+			return uint64(ds.WalkLen(in.m, l.Head(), cfg.MemWords))
 		}
 		return next, baseline, nil
 
@@ -803,7 +803,7 @@ func (in *instance) buildStructure() (func(t *sched.Thread) (*prog.Op, [3]uint64
 			}
 		}
 		baseline := func() uint64 {
-			return uint64(len(s.WalkLevel(in.m, 0, cfg.MemWords)))
+			return uint64(s.LevelLen(in.m, 0, cfg.MemWords))
 		}
 		return next, baseline, nil
 
@@ -830,7 +830,7 @@ func (in *instance) buildStructure() (func(t *sched.Thread) (*prog.Op, [3]uint64
 		}
 		baseline := func() uint64 {
 			// Remaining elements plus the dummy node.
-			return uint64(len(q.Drain(in.m, cfg.MemWords))) + 1
+			return uint64(q.Len(in.m, cfg.MemWords)) + 1
 		}
 		return next, baseline, nil
 

@@ -293,17 +293,22 @@ func TestRunContextCancels(t *testing.T) {
 	})
 
 	t.Run("sweep-cancelled-from-collect", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		collected := 0
-		o := Options{Threads: []int{1, 2}, MeasureMs: 0.3, WarmupMs: 0.1, Ctx: ctx,
-			Collect: func(string, int, *Result) { collected++; cancel() }}
-		doc, _, err := RunExperimentJSON(FindExperiment("E3"), o)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if collected != 1 || doc == nil || len(doc.Points) != 1 || doc.Points[0].Threads != 1 {
-			t.Fatalf("collected %d points, want only the 1-thread point (partial doc: %v)", collected, doc != nil)
+		// At width 2 both points simulate in one wave; the 2-thread
+		// point has finished when the first delivery cancels, and must
+		// still not be delivered.
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			collected := 0
+			o := Options{Threads: []int{1, 2}, MeasureMs: 0.3, WarmupMs: 0.1, Ctx: ctx, workers: workers,
+				Collect: func(string, int, *Result) { collected++; cancel() }}
+			doc, _, err := RunExperimentJSON(FindExperiment("E3"), o)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("width %d: err = %v, want context.Canceled", workers, err)
+			}
+			if collected != 1 || doc == nil || len(doc.Points) != 1 || doc.Points[0].Threads != 1 {
+				t.Fatalf("width %d: collected %d points, want only the 1-thread point (partial doc: %v)", workers, collected, doc != nil)
+			}
 		}
 	})
 }

@@ -20,6 +20,19 @@ func (tb *Table) AddRow(cells ...string) {
 	tb.Rows = append(tb.Rows, cells)
 }
 
+// addRows appends one row per thread count of a sweep: the count, then
+// cells of each of its results in series order (rows as Options.sweep
+// returns them).
+func (tb *Table) addRows(threads []int, rows [][]*Result, cells func(res *Result) []string) {
+	for i, n := range threads {
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, res := range rows[i] {
+			row = append(row, cells(res)...)
+		}
+		tb.AddRow(row...)
+	}
+}
+
 // Fprint writes the table in aligned-column form.
 func (tb *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "## %s\n", tb.Title)

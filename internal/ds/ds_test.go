@@ -441,3 +441,39 @@ func TestSkipListDebugEventHook(t *testing.T) {
 		t.Fatalf("debug events missing: %v", events)
 	}
 }
+
+// TestCountingWalks: the counting walks behind the harness's drain
+// baselines agree with the walks that build key slices, and allocate
+// nothing.
+func TestCountingWalks(t *testing.T) {
+	f := newFixture(t, 1)
+	keys := make([]uint64, 500)
+	for i := range keys {
+		keys[i] = uint64(2*i + 1)
+	}
+	// Structure roots are static allocations, so every structure is
+	// built before the first heap allocation (the queue's dummy node).
+	l, s, h, q := ds.NewList(f.al), ds.NewSkipList(f.al), ds.NewHashTable(f.al, 32), ds.NewQueue(f.al)
+	l.Seed(f.al, f.m, keys, 7)
+	s.Seed(f.al, f.m, keys, 7, 3)
+	q.Seed(f.al, f.m, keys)
+	h.Seed(f.al, f.m, keys, 7)
+	const limit = 1 << 16
+	for _, c := range []struct {
+		name  string
+		count func() int
+		walk  []uint64
+	}{
+		{"list", func() int { return ds.WalkLen(f.m, l.Head(), limit) }, ds.Walk(f.m, l.Head(), limit)},
+		{"skiplist", func() int { return s.LevelLen(f.m, 0, limit) }, s.WalkLevel(f.m, 0, limit)},
+		{"queue", func() int { return q.Len(f.m, limit) }, q.Drain(f.m, limit)},
+		{"hash", func() int { return h.Count(f.m, limit) }, keys},
+	} {
+		if got := c.count(); got != len(c.walk) || got != len(keys) {
+			t.Errorf("%s: counted %d, walk has %d, seeded %d", c.name, got, len(c.walk), len(keys))
+		}
+		if a := testing.AllocsPerRun(10, func() { c.count() }); a != 0 {
+			t.Errorf("%s: counting walk allocates %.0f times", c.name, a)
+		}
+	}
+}

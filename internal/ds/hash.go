@@ -79,7 +79,7 @@ func (h *HashTable) Seed(a *alloc.Allocator, m *mem.Memory, keys []uint64, val u
 func (h *HashTable) Count(m *mem.Memory, limit int) int {
 	total := 0
 	for i := 0; i < h.nBuckets; i++ {
-		total += len(Walk(m, h.buckets+word.Addr(i), limit))
+		total += WalkLen(m, h.buckets+word.Addr(i), limit)
 	}
 	return total
 }

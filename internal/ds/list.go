@@ -346,6 +346,23 @@ func SeedChain(a *alloc.Allocator, m *mem.Memory, headAddr word.Addr, keys []uin
 // unmarked keys in order. It panics on a cycle longer than limit.
 func Walk(m *mem.Memory, headAddr word.Addr, limit int) []uint64 {
 	var keys []uint64
+	walkUnmarked(m, headAddr, listOffNext, listOffKey, limit, func(k uint64) { keys = append(keys, k) })
+	return keys
+}
+
+// WalkLen is len(Walk(...)) without building the slice.
+func WalkLen(m *mem.Memory, headAddr word.Addr, limit int) int {
+	n := 0
+	walkUnmarked(m, headAddr, listOffNext, listOffKey, limit, func(uint64) { n++ })
+	return n
+}
+
+// walkUnmarked visits, outside the simulation, the key of every unmarked
+// node of the chain whose first link is the word at headAddr. A node's
+// link is the word at offset next, its key the word at offset key. The
+// list and every skip-list level share it. It panics on a cycle longer
+// than limit.
+func walkUnmarked(m *mem.Memory, headAddr, next, key word.Addr, limit int, visit func(uint64)) {
 	w := m.Peek(headAddr)
 	for n := 0; ; n++ {
 		if n > limit {
@@ -353,12 +370,12 @@ func Walk(m *mem.Memory, headAddr word.Addr, limit int) []uint64 {
 		}
 		p := word.Ptr(w)
 		if p == word.Null {
-			return keys
+			return
 		}
-		next := m.Peek(p + listOffNext)
-		if !word.IsMarked(next) {
-			keys = append(keys, m.Peek(p+listOffKey))
+		nx := m.Peek(p + next)
+		if !word.IsMarked(nx) {
+			visit(m.Peek(p + key))
 		}
-		w = next
+		w = nx
 	}
 }

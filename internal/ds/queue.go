@@ -204,6 +204,19 @@ func (q *Queue) Seed(a *alloc.Allocator, m *mem.Memory, vals []uint64) {
 // Drain returns the remaining values, outside the simulation.
 func (q *Queue) Drain(m *mem.Memory, limit int) []uint64 {
 	var vals []uint64
+	q.walk(m, limit, func(v uint64) { vals = append(vals, v) })
+	return vals
+}
+
+// Len is len(q.Drain(...)) without building the slice.
+func (q *Queue) Len(m *mem.Memory, limit int) int {
+	n := 0
+	q.walk(m, limit, func(uint64) { n++ })
+	return n
+}
+
+// walk visits the remaining values in order, outside the simulation.
+func (q *Queue) walk(m *mem.Memory, limit int, visit func(uint64)) {
 	head := word.Addr(m.Peek(q.head))
 	for n := 0; ; n++ {
 		if n > limit {
@@ -211,9 +224,9 @@ func (q *Queue) Drain(m *mem.Memory, limit int) []uint64 {
 		}
 		next := word.Addr(m.Peek(head + qOffNext))
 		if next == word.Null {
-			return vals
+			return
 		}
-		vals = append(vals, m.Peek(next+qOffVal))
+		visit(m.Peek(next + qOffVal))
 		head = next
 	}
 }

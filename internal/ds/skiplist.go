@@ -88,7 +88,9 @@ func skTower(base int) []prog.Loc {
 }
 
 // DebugCheckRetire, when set by a test, is invoked immediately before a
-// skip-list node is retired (dev aid for reachability auditing).
+// skip-list node is retired (dev aid for reachability auditing). Both
+// hooks are process-wide and a bench sweep simulates several points at
+// once, so a test that sets one runs its simulations one at a time.
 var DebugCheckRetire func(t *sched.Thread, s *SkipList, node word.Addr)
 
 // DebugEvent, when set by a test, receives skip-list internal transitions
@@ -603,19 +605,15 @@ func (s *SkipList) Seed(a *alloc.Allocator, m *mem.Memory, keys []uint64, val ui
 // simulation.
 func (s *SkipList) WalkLevel(m *mem.Memory, level, limit int) []uint64 {
 	var keys []uint64
-	w := m.Peek(nextAddr(s.head, level))
-	for n := 0; ; n++ {
-		if n > limit {
-			panic("ds: skip-list level longer than limit (cycle?)")
-		}
-		p := word.Ptr(w)
-		if p == word.Null {
-			return keys
-		}
-		next := m.Peek(nextAddr(p, level))
-		if !word.IsMarked(next) {
-			keys = append(keys, m.Peek(p+skOffKey))
-		}
-		w = next
-	}
+	walkUnmarked(m, nextAddr(s.head, level), skOffNxt+word.Addr(level), skOffKey, limit,
+		func(k uint64) { keys = append(keys, k) })
+	return keys
+}
+
+// LevelLen is len(s.WalkLevel(...)) without building the slice.
+func (s *SkipList) LevelLen(m *mem.Memory, level, limit int) int {
+	n := 0
+	walkUnmarked(m, nextAddr(s.head, level), skOffNxt+word.Addr(level), skOffKey, limit,
+		func(uint64) { n++ })
+	return n
 }

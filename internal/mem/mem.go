@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"stacktrack/internal/metrics"
 	"stacktrack/internal/topo"
@@ -100,6 +101,11 @@ type Memory struct {
 	sharers []uint64
 	lastW   []int32
 
+	// backing keeps the block the six arrays above are carved from (see
+	// newBacking) mapped for as long as the Memory is reachable; nil where
+	// that block is on the Go heap.
+	backing *mapping
+
 	// hi is one past the highest address any access ever touched — a
 	// monotone high-water mark. Snapshots copy only words[:hi] (and the
 	// metadata lines covering them): simulated memory is sized generously
@@ -150,30 +156,51 @@ func New(cfg Config) *Memory {
 		m.refreshFast()
 		return m
 	}
-	lines := (cfg.Words + word.LineWords - 1) / word.LineWords
 	m := &Memory{
-		words:       make([]uint64, cfg.Words),
-		lineReaders: make([]uint64, lines),
-		lineWriter:  make([]int32, lines),
-		lineSlot:    make([]int32, lines),
-		sharers:     make([]uint64, lines),
-		lastW:       make([]int32, lines),
-		topology:    cfg.Topology,
-		pressure:    cfg.Pressure,
-		reg:         cfg.Metrics,
-		c:           newMemCounters(cfg.Metrics),
+		topology: cfg.Topology,
+		pressure: cfg.Pressure,
+		reg:      cfg.Metrics,
+		c:        newMemCounters(cfg.Metrics),
 	}
+	m.newBacking(cfg.Words, (cfg.Words+word.LineWords-1)/word.LineWords)
 	m.refreshFast()
 	return m
+}
+
+// newBacking carves the word array and the five line tables from one
+// zeroed block, off the Go heap where the platform allows (zeroedBytes).
+// A Memory is sized for the largest run (4M words and 512K lines, about
+// 46 MiB) but a run touches a few megabytes of it. On the Go heap the
+// whole size would count as live, and the GC, which lets garbage grow to
+// about the live heap before it collects, would let each Memory carry as
+// much again in garbage. The 8-byte tables come before the 4-byte ones,
+// so every table is naturally aligned.
+func (m *Memory) newBacking(words, lines int) {
+	b, h := zeroedBytes(8*(words+2*lines) + 4*3*lines)
+	m.backing = h
+	off := 0
+	u64 := func(n int) []uint64 {
+		s := unsafe.Slice((*uint64)(unsafe.Pointer(&b[off])), n)
+		off += 8 * n
+		return s
+	}
+	i32 := func(n int) []int32 {
+		s := unsafe.Slice((*int32)(unsafe.Pointer(&b[off])), n)
+		off += 4 * n
+		return s
+	}
+	m.words, m.lineReaders, m.sharers = u64(words), u64(lines), u64(lines)
+	m.lineWriter, m.lineSlot, m.lastW = i32(lines), i32(lines), i32(lines)
 }
 
 // memPool holds released memories keyed by word count. A released Memory
 // has been scrubbed back to the pristine zero state New would produce, so
 // reuse is observationally identical to a fresh allocation — it only
 // avoids the (large, mostly-untouched) backing allocations. Sweeps create
-// one Memory per point; reuse removes that churn entirely. The mutex is
-// host-side only (the pool is shared by concurrent explore workers); the
-// simulation itself remains single-goroutine.
+// one Memory per point; reuse removes that churn entirely. Each
+// simulation is single-goroutine, but several run at once (a sweep's
+// parallel points, concurrent explore workers) and share this pool, so
+// it takes a host-side mutex.
 var memPool struct {
 	mu   sync.Mutex
 	free map[int][]*Memory

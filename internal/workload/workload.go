@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"stacktrack/internal/rng"
 )
@@ -75,6 +76,15 @@ func (m QueueMix) Next(r *rng.Rand) (QueueOp, uint64) {
 	}
 }
 
+// sampleBufs is SampleKeys' scratch. A 100K-key draw needs 1.6 MB of it;
+// reusing it keeps that out of the garbage that sets how often the GC runs.
+type sampleBufs struct {
+	chosen     []uint64
+	head, next []int32
+}
+
+var sampleScratch = sync.Pool{New: func() any { return new(sampleBufs) }}
+
 // SampleKeys deterministically draws n distinct keys from [1, keyRange] and
 // returns them sorted ascending — the prefill set. It panics if n exceeds
 // the key range (a configuration bug).
@@ -92,9 +102,13 @@ func SampleKeys(seed uint64, n int, keyRange uint64) []uint64 {
 		q, _ := bits.Div64(hi, lo, keyRange)
 		return int(q)
 	}
-	chosen := make([]uint64, n) // chosen[i] is the i-th key drawn
-	head := make([]int32, n)    // bucket → 1 + index of its last key, 0 if empty
-	next := make([]int32, n)    // key index → 1 + index of the bucket's previous key
+	sc := sampleScratch.Get().(*sampleBufs)
+	defer sampleScratch.Put(sc)
+	sc.chosen = slices.Grow(sc.chosen[:0], n)[:n] // chosen[i] is the i-th key drawn
+	sc.head = slices.Grow(sc.head[:0], n)[:n]     // bucket → 1 + index of its last key, 0 if empty
+	sc.next = slices.Grow(sc.next[:0], n)[:n]     // key index → 1 + index of the bucket's previous key
+	chosen, head, next := sc.chosen, sc.head, sc.next
+	clear(head) // chosen[i] and next[i] are written before they are read
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
 		j := keyRange - uint64(n-i) + 1

@@ -172,3 +172,16 @@ func BenchmarkSampleKeys(b *testing.B) {
 		SampleKeys(uint64(i), 100000, 200000)
 	}
 }
+
+// TestSampleKeysReusedScratch: draws that follow a larger one run on its
+// dirty scratch, and must still return exactly the reference's keys.
+func TestSampleKeysReusedScratch(t *testing.T) {
+	for _, c := range []struct {
+		n        int
+		keyRange uint64
+	}{{5000, 1 << 40}, {5, 10}, {1000, 2000}, {4999, 5000}} {
+		if got, want := SampleKeys(3, c.n, c.keyRange), referenceSampleKeys(3, c.n, c.keyRange); !slices.Equal(got, want) {
+			t.Fatalf("SampleKeys(3, %d, %d) differs from the reference", c.n, c.keyRange)
+		}
+	}
+}

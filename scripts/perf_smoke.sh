@@ -7,9 +7,11 @@
 #
 # Phase 1 — simulated bytes are sacred: regenerate the three committed
 # BENCH_<ID>.json baselines with the current binary and demand
-# byte-identity. This is the repository's one byte gate. On a mismatch
-# it reruns the experiment under `stbench -compare` so the log names
-# every field that moved, not just the first differing byte.
+# byte-identity. This is the repository's one byte gate. It runs twice:
+# under GOMAXPROCS=1, where a sweep simulates one point at a time, and at
+# one per CPU (the default), where it simulates that many at once. On
+# a mismatch it reruns the experiment under `stbench -compare` so the log
+# names every field that moved, not just the first differing byte.
 #
 # Phase 2 — host speed, parent against HEAD: build HEAD^ in a git
 # worktree and run the host-speed benchmark (benchmark/README.md) on both
@@ -36,15 +38,18 @@ trap cleanup EXIT
 go build -o ./bin/stbench ./cmd/stbench
 
 echo "== phase 1: committed baselines are byte-identical =="
-./bin/stbench -quick -run E1a,E2b,E3 -baseline "$TMP" >/dev/null
-for id in E1a E2b E3; do
-  cmp "BENCH_$id.json" "$TMP/BENCH_$id.json" || {
-    echo "FAIL: BENCH_$id.json is not byte-identical to a fresh run" >&2
-    ./bin/stbench -quick -run "$id" -compare . >&2 || true
-    exit 1
-  }
+for procs in 1 "$(nproc)"; do
+  rm -f "$TMP"/BENCH_*.json
+  GOMAXPROCS=$procs ./bin/stbench -quick -run E1a,E2b,E3 -baseline "$TMP" >/dev/null
+  for id in E1a E2b E3; do
+    cmp "BENCH_$id.json" "$TMP/BENCH_$id.json" || {
+      echo "FAIL: BENCH_$id.json is not byte-identical to a fresh run (GOMAXPROCS $procs)" >&2
+      GOMAXPROCS=$procs ./bin/stbench -quick -run "$id" -compare . >&2 || true
+      exit 1
+    }
+  done
+  echo "OK: BENCH_E1a/E2b/E3 byte-identical at GOMAXPROCS $procs"
 done
-echo "OK: BENCH_E1a/E2b/E3 byte-identical"
 
 echo "== phase 2: host speed, HEAD^ against HEAD =="
 rebaseline=
