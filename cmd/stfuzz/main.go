@@ -97,6 +97,9 @@ func main() {
 		return
 	}
 
+	if *threads < 0 {
+		fatal(fmt.Errorf("-threads: %d is not a thread count (want 1-64, or 0 for the default)", *threads))
+	}
 	cfg := explore.RunConfig{
 		Structure: *ds, Scheme: *scheme, Threads: *threads, Seed: *seed,
 		InitialSize: *initial, KeyRange: *keyrange, MutatePct: *mutate,
@@ -147,7 +150,7 @@ func main() {
 		mode = "fork-heap"
 	}
 	fmt.Printf("stfuzz: %d runs in %.1fs (%.0f runs/s, %d workers, strategy %s, %s)\n",
-		res.Runs, res.Elapsed.Seconds(), rate, *workers, *strategy, mode)
+		res.Runs, res.Elapsed.Seconds(), rate, res.Workers, *strategy, mode)
 	if res.Failure == nil {
 		if ctx.Err() != nil {
 			// Interrupted without a verdict: completed runs (and any

@@ -33,9 +33,9 @@ import (
 	"stacktrack/internal/bench"
 )
 
-// Budget bounds one exploration campaign. Zero fields mean unlimited; a
-// fully zero budget still runs at most one pass of MaxRuns==Seeds... use
-// at least one bound.
+// Budget bounds one exploration campaign. A zero field sets no bound of
+// its kind, so a zero budget runs until a run fails or the campaign's
+// context is cancelled.
 type Budget struct {
 	// Wall stops issuing new runs after this much wall-clock time.
 	Wall time.Duration
@@ -54,7 +54,10 @@ type Failure struct {
 
 // CampaignResult summarizes one Explore call.
 type CampaignResult struct {
-	Runs    int
+	Runs int
+	// Workers is how many host goroutines ran the campaign: the requested
+	// count, or GOMAXPROCS when that was <= 0.
+	Workers int
 	Elapsed time.Duration
 	Failure *Failure // nil when every run within budget passed
 }
@@ -336,7 +339,7 @@ func campaign(ctx context.Context, workers int, budget Budget, first uint64, pro
 	}
 	wg.Wait()
 
-	res := &CampaignResult{Elapsed: time.Since(start), Failure: fail}
+	res := &CampaignResult{Workers: workers, Elapsed: time.Since(start), Failure: fail}
 	res.Runs = int(runs.Load())
 	if budget.MaxRuns > 0 && res.Runs > budget.MaxRuns {
 		res.Runs = budget.MaxRuns

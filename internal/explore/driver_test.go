@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -128,5 +129,25 @@ func TestCampaignStopsAtFirstFailure(t *testing.T) {
 	}
 	if res.Runs != maxRuns || res.Failure != nil {
 		t.Fatalf("all-pass: %d runs, failure %v; want %d runs, none", res.Runs, res.Failure, maxRuns)
+	}
+}
+
+// TestCampaignReportsWorkers: the result names the worker count the
+// campaign ran with, GOMAXPROCS when the caller asked for <= 0.
+func TestCampaignReportsWorkers(t *testing.T) {
+	pass := func(uint64) (*Outcome, error) { return &Outcome{Log: &Log{}}, nil }
+	for _, c := range []struct{ asked, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{-3, runtime.GOMAXPROCS(0)},
+		{1, 1},
+		{3, 3},
+	} {
+		res, err := campaign(context.Background(), c.asked, Budget{MaxRuns: 4}, 1, nil, pass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Workers != c.want {
+			t.Errorf("%d workers asked: result reports %d, want %d", c.asked, res.Workers, c.want)
+		}
 	}
 }

@@ -11,26 +11,38 @@ package explore
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
+	"stacktrack/internal/mem"
 	"stacktrack/internal/sched"
 )
 
 // Decision is one recorded deviation from the default scheduling rule at
 // decision number N (the N-th scheduler loop iteration of the run).
+//
+// A random walk deviates at about three in four of a run's decisions, so
+// each field is as narrow as its range allows, 16 bytes per entry: Pick
+// indexes one of at most 64 hardware contexts, and Tid names one of at
+// most mem.MaxThreads threads. encoding/json writes every field as a
+// plain number, so the widths do not show in schedule artifacts.
 type Decision struct {
 	// N is the decision number the deviation applies to.
 	N uint64 `json:"n"`
 	// Pick, when >= 0, overrides the context choice: the index into that
 	// iteration's runnable-candidate list. -1 leaves the default pick.
-	Pick int `json:"pick"`
+	Pick int32 `json:"pick"`
 	// Pre overrides the preemption decision: 1 forces a context switch,
 	// 0 suppresses one the quantum would have made, -1 leaves the default.
-	Pre int `json:"pre"`
+	Pre int8 `json:"pre"`
 	// Tid records which thread the decision affected when it was first
 	// recorded — informational only (narratives); replay ignores it.
-	Tid int `json:"tid,omitempty"`
+	Tid int16 `json:"tid,omitempty"`
 }
+
+// Thread ids are stored as int16 in Decision and Applied: a negative
+// array length here fails the build should mem.MaxThreads outgrow them.
+var _ [math.MaxInt16 - mem.MaxThreads]struct{}
 
 // Log is a complete schedule artifact: replaying it reproduces the run.
 type Log struct {
@@ -71,7 +83,8 @@ func LoadLog(path string) (*Log, error) {
 }
 
 // recordChunk is how many Decisions one chunk of a Recording's log holds
-// (32 KiB): a dense run of ~650K deviations fills ~640 chunks.
+// (16 KiB of 16-byte entries): a dense run of ~650K deviations fills ~640
+// chunks.
 const recordChunk = 1024
 
 // Recording wraps a strategy and logs every decision where the strategy
@@ -143,7 +156,7 @@ func (r *Recording) Pick(s *sched.Scheduler, cands []int) int {
 		got = def
 	}
 	if got != def {
-		r.record(Decision{N: n, Pick: got, Pre: -1, Tid: s.OccupantID(cands[got])})
+		r.record(Decision{N: n, Pick: int32(got), Pre: -1, Tid: int16(s.OccupantID(cands[got]))})
 	}
 	return got
 }
@@ -153,7 +166,7 @@ func (r *Recording) Preempt(s *sched.Scheduler, ctx int) bool {
 	got := r.inner.Preempt(s, ctx)
 	if got != s.DefaultPreempt(ctx) {
 		if r.cur == nil {
-			r.record(Decision{N: r.n - 1, Pick: -1, Pre: -1, Tid: s.OccupantID(ctx)})
+			r.record(Decision{N: r.n - 1, Pick: -1, Pre: -1, Tid: int16(s.OccupantID(ctx))})
 		}
 		if got {
 			r.cur.Pre = 1
@@ -165,14 +178,15 @@ func (r *Recording) Preempt(s *sched.Scheduler, ctx int) bool {
 }
 
 // Applied is one replayed deviation annotated with what it actually did —
-// the raw material of counterexample narratives.
+// the raw material of counterexample narratives. A replay builds one per
+// fired deviation, so it is kept to 24 bytes like the 16-byte Decision.
 type Applied struct {
 	Decision
 	// PickedTid is the thread that ran because of a pick override (-1 when
 	// the decision had none).
-	PickedTid int
+	PickedTid int16
 	// DefaultTid is the thread the default rule would have run instead.
-	DefaultTid int
+	DefaultTid int16
 	// Preempted reports whether a forced preemption actually fired.
 	Preempted bool
 }
@@ -212,11 +226,11 @@ func (r *Replay) Pick(s *sched.Scheduler, cands []int) int {
 	def := s.DefaultPick(cands)
 	if r.idx < len(r.decisions) && r.decisions[r.idx].N == n {
 		r.cur = &r.decisions[r.idx]
-		if p := r.cur.Pick; p >= 0 && p < len(cands) {
+		if p := int(r.cur.Pick); p >= 0 && p < len(cands) {
 			r.applied = append(r.applied, Applied{
 				Decision:   *r.cur,
-				PickedTid:  s.OccupantID(cands[p]),
-				DefaultTid: s.OccupantID(cands[def]),
+				PickedTid:  int16(s.OccupantID(cands[p])),
+				DefaultTid: int16(s.OccupantID(cands[def])),
 			})
 			return p
 		}
@@ -231,7 +245,7 @@ func (r *Replay) Preempt(s *sched.Scheduler, ctx int) bool {
 		if forced {
 			r.applied = append(r.applied, Applied{
 				Decision:  *r.cur,
-				PickedTid: s.OccupantID(ctx),
+				PickedTid: int16(s.OccupantID(ctx)),
 				Preempted: true,
 			})
 		}

@@ -3,6 +3,7 @@ package explore
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/mem"
@@ -60,13 +61,13 @@ func TestRecordingChunkBoundaries(t *testing.T) {
 					*pol = scripted{pre: true}
 					r.Pick(sc, cands)
 					r.Preempt(sc, cands[0])
-					want = append(want, Decision{N: n, Pick: -1, Pre: 1, Tid: sc.OccupantID(cands[0])})
+					want = append(want, Decision{N: n, Pick: -1, Pre: 1, Tid: int16(sc.OccupantID(cands[0]))})
 				} else {
 					full := len(want)%recordChunk == recordChunk-1
 					*pol = scripted{pick: true, pre: full}
 					r.Pick(sc, cands)
 					r.Preempt(sc, cands[1])
-					d := Decision{N: n, Pick: 1, Pre: -1, Tid: sc.OccupantID(cands[1])}
+					d := Decision{N: n, Pick: 1, Pre: -1, Tid: int16(sc.OccupantID(cands[1]))}
 					if full {
 						d.Pre = 1
 					}
@@ -99,10 +100,23 @@ func TestRecordingChunkBoundaries(t *testing.T) {
 	}
 }
 
+// TestLogEntrySizes pins the width of the per-deviation records: a
+// recording's chunks, the flat log, ddmin's candidate subsets and every
+// replay's Applied list each hold one entry per deviation.
+func TestLogEntrySizes(t *testing.T) {
+	if got := unsafe.Sizeof(Decision{}); got != 16 {
+		t.Errorf("Decision is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Applied{}); got != 24 {
+		t.Errorf("Applied is %d bytes, want 24", got)
+	}
+}
+
 // maxRecordBytesPerDecision bounds the Go heap a recorded default random
-// walk allocates per scheduling decision, set-up included. The chunked log
-// measures about 48 B; a log that regrows one slice measures about 146 B.
-const maxRecordBytesPerDecision = 70
+// walk allocates per scheduling decision, set-up included. With 16-byte
+// Decisions the chunked log measures about 24 B; 32-byte Decisions
+// measure about 48 B, and a log that regrows one slice about 146 B.
+const maxRecordBytesPerDecision = 32
 
 func TestRecordAllocationPerDecision(t *testing.T) {
 	Record(RunConfig{}) // warm package-level state
@@ -133,4 +147,26 @@ func BenchmarkRecord(b *testing.B) {
 		steps += out.Steps
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/decision")
+}
+
+// BenchmarkReplayLog replays one default recorded log (list, StackTrack, 7
+// threads, random walk): the path every ddmin oracle run and every
+// narrative takes, Applied list included.
+func BenchmarkReplayLog(b *testing.B) {
+	rec, err := Record(RunConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, err := ReplayLog(rec.Log, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Verdict.Failed != rec.Verdict.Failed {
+			b.Fatalf("replay verdict %s, recorded %s", out.Verdict, rec.Verdict)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*rec.Steps), "ns/decision")
 }

@@ -15,8 +15,11 @@
 #
 # Phase 2 — host speed, parent against HEAD: build HEAD^ in a git
 # worktree and run the host-speed benchmark (benchmark/README.md) on both
-# trees, paper-sweep and tx-scan at seeds 1-3 with the default run length,
-# in pairs whose order alternates. `benchmark/run.sh -compare` then judges
+# trees, paper-sweep, tx-scan and fuzz-campaign at seeds 1-3 with the
+# default run length, in pairs whose order alternates. paper-sweep and
+# tx-scan cover the sweep and the paper's mechanism; fuzz-campaign covers
+# the schedule-exploration path (recorded runs and their deviation logs),
+# which no sweep enters. `benchmark/run.sh -compare` then judges
 # HEAD against the parent; its table goes to $PERF_REPORT. Any `worse` row
 # or failed run fails the gate. `unresolved` rows (a spread beyond the
 # metric's bound) are reported and do not fail it.
@@ -67,7 +70,7 @@ bench() {
 }
 pair=0
 for seed in 1 2 3; do
-  for w in paper-sweep tx-scan; do
+  for w in paper-sweep tx-scan fuzz-campaign; do
     if [ $((pair % 2)) = 0 ]; then
       bench "$TMP/parent" parent "$w" "$seed"
       bench "$head" head "$w" "$seed"
