@@ -30,18 +30,13 @@ func Narrate(w io.Writer, log *Log, tailEvents int) (*Outcome, error) {
 	}
 	fmt.Fprintf(w, "\ndecisions: %d logged deviations from the virtual-time rule\n", len(log.Decisions))
 
-	if len(out.Applied) == 0 {
+	if out.Fired == 0 {
 		fmt.Fprintf(w, "  (none fired: the workload seed alone reproduces the failure)\n")
 	}
 	// An unminimized log can carry hundreds of thousands of deviations;
-	// narrate only the head and point at -minimize for the readable story.
-	const maxListed = 24
+	// the replay keeps only the head, so narrate that and point at
+	// -minimize for the readable story.
 	for i, a := range out.Applied {
-		if i == maxListed {
-			fmt.Fprintf(w, "  ... and %d more (minimize the schedule for the distilled story)\n",
-				len(out.Applied)-maxListed)
-			break
-		}
 		switch {
 		case a.Preempted:
 			fmt.Fprintf(w, "  %3d. decision %-8d force-preempt t%d (transaction aborted, context switched)\n",
@@ -50,6 +45,9 @@ func Narrate(w io.Writer, log *Log, tailEvents int) (*Outcome, error) {
 			fmt.Fprintf(w, "  %3d. decision %-8d run t%d instead of t%d (virtual-time order inverted)\n",
 				i+1, a.N, a.PickedTid, a.DefaultTid)
 		}
+	}
+	if more := out.Fired - len(out.Applied); more > 0 {
+		fmt.Fprintf(w, "  ... and %d more (minimize the schedule for the distilled story)\n", more)
 	}
 
 	if tr != nil && tr.Len() > 0 {

@@ -23,8 +23,11 @@ type Outcome struct {
 	Result *bench.Result
 	// Steps counts scheduling decisions (Record only).
 	Steps uint64
-	// Applied lists the deviations that fired (ReplayLog only).
+	// Applied lists the first deviations that fired, at most 24 (ReplayLog
+	// only): the head a narrative lists.
 	Applied []Applied
+	// Fired counts every deviation that fired (ReplayLog only).
+	Fired int
 }
 
 // execute runs one simulation of cfg under policy and judges it: from
@@ -96,7 +99,7 @@ func ReplayLog(log *Log, events int) (*Outcome, *trace.Recorder, error) {
 
 // replay is ReplayLog over decisions resumed from snapshot from, taken at
 // decision n0: only decisions with N >= n0 replay (the rest are already in
-// the snapshot), so Applied covers only the resumed tail.
+// the snapshot), so Applied and Fired cover only the resumed tail.
 func replay(cfg RunConfig, decisions []Decision, from *snap.State, n0 uint64, events int) (*Outcome, error) {
 	cfg = cfg.WithDefaults()
 	rp := NewReplay(decisions, n0)
@@ -104,5 +107,5 @@ func replay(cfg RunConfig, decisions []Decision, from *snap.State, n0 uint64, ev
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Config: cfg, Verdict: v, Result: res, Applied: rp.Applied()}, nil
+	return &Outcome{Config: cfg, Verdict: v, Result: res, Applied: rp.Applied(), Fired: rp.Fired()}, nil
 }

@@ -17,7 +17,7 @@
 # ddmin minimizes it over the snapshot-accelerated replay path, writes the
 # schedule plus a failing-state checkpoint into $FUZZ_ARTIFACTS (uploaded
 # by CI when an oracle fires), and the artifact is re-verified by a
-# from-scratch replay.
+# from-scratch replay that writes the schedule back out byte-identically.
 set -eu
 
 STFUZZ=${STFUZZ:-./bin/stfuzz}
@@ -78,6 +78,10 @@ mkdir -p "$ART"
 [ -s "$ART/crash.schedule" ] || { echo "FAIL: no schedule artifact written" >&2; exit 1; }
 [ -s "$ART/crash.stsnap" ] || { echo "FAIL: no failing-state checkpoint written" >&2; exit 1; }
 # The campaign forked every run off one warmed snapshot; the minimized
-# artifact must still reproduce from a cold start.
-"$STFUZZ" -replay "$ART/crash.schedule" -expect-failure -trace 0
+# artifact must still reproduce from a cold start, and writing the loaded
+# schedule back out must reproduce its bytes exactly.
+"$STFUZZ" -replay "$ART/crash.schedule" -out "$ART/replayed.schedule" \
+  -expect-failure -trace 0
+cmp "$ART/crash.schedule" "$ART/replayed.schedule" ||
+  { echo "FAIL: replayed schedule differs from the artifact" >&2; exit 1; }
 echo "OK: fork-heap failure reproduces from scratch; artifacts in $ART"
