@@ -42,22 +42,20 @@ import (
 
 func main() {
 	var (
-		quick     = flag.Bool("quick", false, "reduced sweep (fewer thread counts, shorter runs)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		measureMs = flag.Float64("measure-ms", 0, "virtual measurement window per point (ms)")
-		warmupMs  = flag.Float64("warmup-ms", 0, "virtual warmup per point (ms)")
-		seed      = flag.Uint64("seed", 0, "master seed (0 = default)")
-		threads   = flag.String("threads", "", "comma-separated thread counts (e.g. 1,2,4,8,16)")
-		verbose   = flag.Bool("v", false, "print per-point progress to stderr")
-		list      = flag.Bool("list", false, "list experiment names and exit")
-		run       = flag.String("run", "", "comma-separated experiments (names, IDs, or aliases)")
-		jsonOut   = flag.String("json", "", "write results as versioned JSON to this file")
-		baseline  = flag.String("baseline", "", "write one BENCH_<ID>.json baseline per experiment into this directory")
-		compare   = flag.String("compare", "", "compare exactly against BENCH_<ID>.json baselines in this directory; exit 1 on any difference")
-		profile   = flag.Bool("profile", false, "enable the virtual-cycle profiler on every point")
-		checkEff  = flag.Bool("check-effects", false, "arm the effect-soundness oracle on every point (declared effects vs executed accesses)")
-		noElide   = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
+		quick    = flag.Bool("quick", false, "reduced sweep (fewer thread counts, shorter runs)")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		threads  = flag.String("threads", "", "comma-separated thread counts (e.g. 1,2,4,8,16)")
+		verbose  = flag.Bool("v", false, "print per-point progress to stderr")
+		list     = flag.Bool("list", false, "list experiment names and exit")
+		run      = flag.String("run", "", "comma-separated experiments (names, IDs, or aliases)")
+		jsonOut  = flag.String("json", "", "write results as versioned JSON to this file")
+		baseline = flag.String("baseline", "", "write one BENCH_<ID>.json baseline per experiment into this directory")
+		compare  = flag.String("compare", "", "compare exactly against BENCH_<ID>.json baselines in this directory; exit 1 on any difference")
+		profile  = flag.Bool("profile", false, "enable the virtual-cycle profiler on every point")
+		checkEff = flag.Bool("check-effects", false, "arm the effect-soundness oracle on every point (declared effects vs executed accesses)")
+		noElide  = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
 	)
+	win := cli.WindowFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -83,32 +81,18 @@ func main() {
 		opts = bench.QuickOptions()
 		opts.Ctx = ctx
 	}
-	for _, f := range []struct {
-		name string
-		ms   float64
-	}{{"measure-ms", *measureMs}, {"warmup-ms", *warmupMs}} {
-		if _, err := cli.VirtualMs(f.name, f.ms); err != nil {
-			fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
-			cli.Exit(cli.ExitUsage)
-		}
+	if opts, err = win.Options(opts); err != nil {
+		fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
+		cli.Exit(cli.ExitUsage)
 	}
-	if *measureMs > 0 {
-		opts.MeasureMs = *measureMs
-	}
-	if *warmupMs > 0 {
-		opts.WarmupMs = *warmupMs
-	}
-	opts.Seed = *seed
 	opts.Profile = *profile
 	opts.CheckEffects = *checkEff
 	opts.NoScanElide = *noElide
 	if *threads != "" {
-		parsed, err := cli.ParseIntList(*threads)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stbench: -threads: %v\n", err)
+		if opts.Threads, err = cli.ParseThreads(*threads); err != nil {
+			fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
 			cli.Exit(cli.ExitUsage)
 		}
-		opts.Threads = parsed
 	}
 	if *verbose {
 		opts.Progress = os.Stderr
@@ -205,17 +189,9 @@ func main() {
 		// duration, toolchain, VCS commit). It is deliberately absent from
 		// -baseline files, which must stay byte-identical across hosts
 		// and commits.
-		p := cli.Provenance()
-		doc := &bench.ResultsJSON{
-			Schema: bench.SchemaVersion,
-			Meta: &bench.RunMeta{
-				DurationMs: float64(time.Since(started).Microseconds()) / 1000,
-				GoVersion:  p.GoVersion,
-				Commit:     p.Commit,
-				Dirty:      p.Dirty,
-			},
-			Experiments: docs,
-		}
+		meta := cli.Provenance()
+		meta.DurationMs = float64(time.Since(started).Microseconds()) / 1000
+		doc := &bench.ResultsJSON{Schema: bench.SchemaVersion, Meta: meta, Experiments: docs}
 		if err := bench.WriteResultsJSON(*jsonOut, doc); err != nil {
 			fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
 			cli.Exit(cli.ExitFailure)

@@ -46,23 +46,15 @@ import (
 )
 
 func main() {
+	wl := cli.WorkloadFlags(flag.CommandLine, cli.FuzzDefaults)
 	var (
-		ds        = flag.String("ds", "list", "structure: list|skiplist|queue|hash|rbtree")
-		scheme    = flag.String("scheme", "stacktrack", "scheme: stacktrack|epoch|hp|dta|refcount|unsafe|leak")
-		threads   = flag.Int("threads", 0, "simulated threads (0 = default)")
-		seed      = flag.Uint64("seed", 1, "first workload seed of the campaign")
-		initial   = flag.Int("initial", 0, "initial structure size (0 = default)")
-		keyrange  = flag.Uint64("keyrange", 0, "key range (0 = 2x initial)")
-		mutate    = flag.Int("mutate", 0, "mutation percentage (0 = default)")
-		measureMs = flag.Float64("measure-ms", 0, "virtual measurement window per run (ms, 0 = default)")
-		warmupMs  = flag.Float64("warmup-ms", -1, "virtual warmup per run (ms, -1 = default)")
+		keyrange = flag.Uint64("keyrange", 0, "key range (0 = 2x initial)")
 
-		strategy    = flag.String("strategy", explore.StrategyRandom, "scheduling strategy: vtime|random|pct")
-		depth       = flag.Int("depth", 0, "PCT depth d (0 = default)")
-		preemptProb = flag.Float64("preempt-prob", 0, "random walk forced-preemption probability (0 = default)")
-		checkLin    = flag.Bool("check-lin", false, "enable the per-key linearizability oracle")
-		checkRaces  = flag.Bool("check-races", false, "enable the sanitizer and its race oracle (vector-clock races, shadow-memory UAF)")
-		checkEff    = flag.Bool("check-effects", false, "enable the effect-soundness oracle (declared Reads/Writes/LoadsPtr/Kills vs executed accesses)")
+		strategy   = flag.String("strategy", explore.StrategyRandom, "scheduling strategy: vtime|random|pct")
+		depth      = flag.Int("depth", 0, "PCT depth d (0 = default)")
+		checkLin   = flag.Bool("check-lin", false, "enable the per-key linearizability oracle")
+		checkRaces = flag.Bool("check-races", false, "enable the sanitizer and its race oracle (vector-clock races, shadow-memory UAF)")
+		checkEff   = flag.Bool("check-effects", false, "enable the effect-soundness oracle (declared Reads/Writes/LoadsPtr/Kills vs executed accesses)")
 
 		budget  = flag.Duration("budget", 30*time.Second, "wall-clock exploration budget")
 		maxRuns = flag.Int("max-runs", 0, "stop after this many runs (0 = unlimited)")
@@ -73,7 +65,6 @@ func main() {
 
 		replay     = flag.String("replay", "", "replay this schedule artifact instead of exploring")
 		minimize   = flag.Bool("minimize", false, "ddmin-minimize the failing schedule before reporting")
-		minRuns    = flag.Int("min-runs", 0, "cap ddmin oracle re-runs (0 = default)")
 		out        = flag.String("out", "", "write the (minimized) failing schedule to this file")
 		snapOut    = flag.String("snap-out", "", "write a failing-state checkpoint (.stsnap) when an oracle fires")
 		traceTail  = flag.Int("trace", 48, "events of trace tail in the failure narrative")
@@ -93,28 +84,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		report(finish(log, *minimize, *minRuns, *out, *snapOut, *traceTail), *expectFail)
+		report(finish(log, *minimize, *out, *snapOut, *traceTail), *expectFail)
 		return
 	}
 
-	if *threads < 0 {
-		fatal(fmt.Errorf("-threads: %d is not a thread count (want 1-64, or 0 for the default)", *threads))
-	}
-	cfg := explore.RunConfig{
-		Structure: *ds, Scheme: *scheme, Threads: *threads, Seed: *seed,
-		InitialSize: *initial, KeyRange: *keyrange, MutatePct: *mutate,
-		Strategy: *strategy, Depth: *depth, PreemptProb: *preemptProb,
-		CheckLin: *checkLin, CheckRaces: *checkRaces, CheckEffects: *checkEff,
-	}
-	var err error
-	if cfg.MeasureCycles, err = cli.VirtualMs("measure-ms", *measureMs); err != nil {
+	cfg, err := wl.RunConfig()
+	if err != nil {
 		fatal(err)
 	}
-	if *warmupMs != -1 {
-		if cfg.WarmupCycles, err = cli.VirtualMs("warmup-ms", *warmupMs); err != nil {
-			fatal(err)
-		}
-	}
+	cfg.KeyRange = *keyrange
+	cfg.Strategy, cfg.Depth = *strategy, *depth
+	cfg.CheckLin, cfg.CheckRaces, cfg.CheckEffects = *checkLin, *checkRaces, *checkEff
 
 	var prog *explore.SeedProgress
 	if *resume != "" {
@@ -130,12 +110,11 @@ func main() {
 	ctx, cancel := cli.SignalContext()
 	defer cancel()
 
-	var res *explore.CampaignResult
+	campaign, mode := explore.Explore, "seed sweep"
 	if *forkHeap {
-		res, err = explore.ExploreForkHeap(ctx, cfg, *workers, explore.Budget{Wall: *budget, MaxRuns: *maxRuns}, prog)
-	} else {
-		res, err = explore.Explore(ctx, cfg, *workers, explore.Budget{Wall: *budget, MaxRuns: *maxRuns}, prog)
+		campaign, mode = explore.ExploreForkHeap, "fork-heap"
 	}
+	res, err := campaign(ctx, cfg, *workers, explore.Budget{Wall: *budget, MaxRuns: *maxRuns}, prog)
 	if prog != nil {
 		if serr := prog.Save(); serr != nil {
 			fmt.Fprintf(os.Stderr, "stfuzz: saving progress: %v\n", serr)
@@ -145,10 +124,6 @@ func main() {
 		fatal(err)
 	}
 	rate := float64(res.Runs) / res.Elapsed.Seconds()
-	mode := "seed sweep"
-	if *forkHeap {
-		mode = "fork-heap"
-	}
 	fmt.Printf("stfuzz: %d runs in %.1fs (%.0f runs/s, %d workers, strategy %s, %s)\n",
 		res.Runs, res.Elapsed.Seconds(), rate, res.Workers, *strategy, mode)
 	if res.Failure == nil {
@@ -164,15 +139,14 @@ func main() {
 		return
 	}
 	fmt.Printf("stfuzz: seed %d fails: %s\n\n", res.Failure.Seed, res.Failure.Verdict)
-	report(finish(res.Failure.Log, *minimize, *minRuns, *out, *snapOut, *traceTail), *expectFail)
+	report(finish(res.Failure.Log, *minimize, *out, *snapOut, *traceTail), *expectFail)
 }
 
 // finish minimizes (optionally), narrates, and saves a schedule log.
 // It reports whether the log still fails.
-func finish(log *explore.Log, minimize bool, minRuns int, out, snapOut string, tail int) bool {
+func finish(log *explore.Log, minimize bool, out, snapOut string, tail int) bool {
 	if minimize {
 		min, err := explore.Minimize(log, explore.MinimizeOptions{
-			MaxRuns:    minRuns,
 			SameOracle: true,
 			Progress: func(runs, size int) {
 				fmt.Fprintf(os.Stderr, "stfuzz: ddmin %d runs, %d decisions left\n", runs, size)
@@ -211,14 +185,10 @@ func finish(log *explore.Log, minimize bool, minRuns int, out, snapOut string, t
 // report exits with the conventional status: failures are exit 1, unless
 // the caller asserted a seeded bug must be found (-expect-failure).
 func report(failed, expectFail bool) {
-	if expectFail {
-		if failed {
-			cli.Exit(cli.ExitOK)
-		}
+	if expectFail && !failed {
 		fmt.Fprintln(os.Stderr, "stfuzz: expected a failure, found none")
-		cli.Exit(cli.ExitFailure)
 	}
-	if failed {
+	if failed != expectFail {
 		cli.Exit(cli.ExitFailure)
 	}
 	cli.Exit(cli.ExitOK)

@@ -54,6 +54,20 @@ func TestNegativeThreadsRejected(t *testing.T) {
 	}
 }
 
+func TestBadWorkloadFlagsRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-threads", "65"},
+		{"-ds", "bogus"},
+	} {
+		out, code := stfuzz(t, nil, append(tinyCampaign, c.flag, c.value)...)
+		if code != 2 {
+			t.Errorf("%s %s exited %d, want 2; output:\n%s", c.flag, c.value, code, out)
+		} else if !strings.Contains(out, c.flag+":") {
+			t.Errorf("%s %s error does not name the flag:\n%s", c.flag, c.value, out)
+		}
+	}
+}
+
 func TestSummaryNamesWorkersUsed(t *testing.T) {
 	out, code := stfuzz(t, []string{"GOMAXPROCS=2"}, append(tinyCampaign, "-workers", "0")...)
 	if code != 0 {

@@ -16,6 +16,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/ds"
@@ -92,25 +93,12 @@ func runDataflowLint(ops []*prog.Op) int {
 			fmt.Println("    FAIL: every location is Top — the annotations taught the pass nothing")
 			bad++
 		default:
-			fmt.Print(indent(f.Report()))
+			for _, line := range strings.SplitAfter(f.Report(), "\n") {
+				if line != "" {
+					fmt.Print("    " + line)
+				}
+			}
 		}
 	}
 	return bad
-}
-
-// indent prefixes every line of s with four spaces.
-func indent(s string) string {
-	out := ""
-	for len(s) > 0 {
-		i := len(s)
-		for j, c := range s {
-			if c == '\n' {
-				i = j + 1
-				break
-			}
-		}
-		out += "    " + s[:i]
-		s = s[i:]
-	}
-	return out
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	stsim -structure skiplist -scheme StackTrack -threads 8 -measure-ms 20
+//	stsim -ds skiplist -scheme StackTrack -threads 8 -measure-ms 20
 //
 // Checkpoint/restore (internal/snap): -checkpoint-at V pauses the run at
 // virtual time V ms, writes a snapshot (-checkpoint-out), and continues to
@@ -23,7 +23,7 @@
 // of the run as usual, not bisected. With -checkpoint-out, the last clean
 // state is written for time-travel debugging:
 //
-//	stsim -scheme UnsafeFree -structure list -bisect -checkpoint-out clean.stsnap
+//	stsim -scheme UnsafeFree -ds list -bisect -checkpoint-out clean.stsnap
 package main
 
 import (
@@ -41,28 +41,17 @@ import (
 )
 
 func main() {
+	wl := cli.WorkloadFlags(flag.CommandLine, cli.SimDefaults)
 	var (
-		structure = flag.String("structure", bench.StructSkipList, "list|skiplist|queue|hash|rbtree")
-		scheme    = flag.String("scheme", bench.SchemeStackTrack, "Original|Epoch|Hazards|DTA|StackTrack|UnsafeFree")
-		threads   = flag.Int("threads", 8, "simulated threads (1-64)")
-		measureMs = flag.Float64("measure-ms", 20, "virtual measurement window (ms)")
-		warmupMs  = flag.Float64("warmup-ms", 5, "virtual warmup (ms)")
-		seed      = flag.Uint64("seed", 0, "master seed (0 = default)")
-		initial   = flag.Int("initial", 0, "initial structure size (0 = paper default)")
-		mutate    = flag.Int("mutate", 0, "mutation percentage (0 = paper's 20)")
-		slowPct   = flag.Int("force-slow", 0, "force this % of ops onto the slow path")
-		maxFree   = flag.Int("scan-every", 0, "free-set size triggering a scan (0 = paper's 10)")
-		hashScan  = flag.Bool("hashed-scan", false, "use the §5.2 hashed scan")
-		predictor = flag.String("predictor", "", "split predictor: additive|aimd")
-		validate  = flag.Bool("validate", true, "poison-check every load")
-		traceN    = flag.Int("trace", 0, "record and print up to N simulation events")
-		profile   = flag.Bool("profile", false, "attribute virtual cycles to phases and print the breakdown")
-		sanitize  = flag.Bool("sanitize", false, "enable the dynamic sanitizer (vector-clock races, shadow-memory UAF) and print its report")
-		checkEff  = flag.Bool("check-effects", false, "check executed register/frame accesses against each block's declared effects")
-		noElide   = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
-		lint      = flag.Bool("lint", false, "statically verify every compiled operation's IR and exit")
-		dataflow  = flag.Bool("dataflow", false, "with -lint: print each operation's pointer-taint/liveness facts and scan track mask; fail on fact-free ops")
-		folded    = flag.String("folded", "", "write folded stacks (flamegraph.pl input) to this file; implies -profile")
+		maxFree  = flag.Int("scan-every", 0, "free-set size triggering a scan (0 = paper's 10)")
+		traceN   = flag.Int("trace", 0, "record and print up to N simulation events")
+		profile  = flag.Bool("profile", false, "attribute virtual cycles to phases and print the breakdown")
+		sanitize = flag.Bool("sanitize", false, "enable the dynamic sanitizer (vector-clock races, shadow-memory UAF) and print its report")
+		checkEff = flag.Bool("check-effects", false, "check executed register/frame accesses against each block's declared effects")
+		noElide  = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
+		lint     = flag.Bool("lint", false, "statically verify every compiled operation's IR and exit")
+		dataflow = flag.Bool("dataflow", false, "with -lint: print each operation's pointer-taint/liveness facts and scan track mask; fail on fact-free ops")
+		folded   = flag.String("folded", "", "write folded stacks (flamegraph.pl input) to this file; implies -profile")
 
 		checkpointAt  = flag.Float64("checkpoint-at", 0, "checkpoint at this virtual time (ms), then continue")
 		checkpointOut = flag.String("checkpoint-out", "checkpoint.stsnap", "snapshot file written by -checkpoint-at / -bisect")
@@ -74,8 +63,7 @@ func main() {
 
 	stopProf, perr := prof.Start()
 	if perr != nil {
-		fmt.Fprintf(os.Stderr, "stsim: %v\n", perr)
-		cli.Exit(cli.ExitUsage)
+		fail(cli.ExitUsage, perr)
 	}
 	defer stopProf()
 
@@ -83,42 +71,17 @@ func main() {
 		cli.Exit(runLint(*dataflow))
 	}
 
-	usage := func(err error) {
-		fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
-		cli.Exit(cli.ExitUsage)
-	}
-	if *threads < 1 {
-		usage(fmt.Errorf("-threads: %d is not a thread count (want 1-64)", *threads))
-	}
-	warmup, err := cli.VirtualMs("warmup-ms", *warmupMs)
+	cfg, err := wl.Config()
 	if err != nil {
-		usage(err)
+		fail(cli.ExitUsage, err)
 	}
-	measure, err := cli.VirtualMs("measure-ms", *measureMs)
-	if err != nil {
-		usage(err)
-	}
-
-	cfg := bench.Config{
-		Structure:     *structure,
-		Scheme:        *scheme,
-		Threads:       *threads,
-		Seed:          *seed,
-		InitialSize:   *initial,
-		MutatePct:     *mutate,
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		Validate:      *validate,
-		TraceEvents:   *traceN,
-		Profile:       *profile || *folded != "",
-		Sanitize:      *sanitize,
-		CheckEffects:  *checkEff,
-		NoScanElide:   *noElide,
-	}
-	cfg.Core.ForceSlowPct = *slowPct
+	cfg.Validate = true
+	cfg.TraceEvents = *traceN
+	cfg.Profile = *profile || *folded != ""
+	cfg.Sanitize = *sanitize
+	cfg.CheckEffects = *checkEff
+	cfg.NoScanElide = *noElide
 	cfg.Core.MaxFree = *maxFree
-	cfg.Core.HashedScan = *hashScan
-	cfg.Core.Predictor = *predictor
 
 	var res *bench.Result
 	switch {
@@ -163,8 +126,7 @@ func main() {
 		res, err = bench.Run(cfg)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
-		cli.Exit(cli.ExitFailure)
+		fail(cli.ExitFailure, err)
 	}
 	report(res)
 	if res.San != nil {
@@ -175,8 +137,7 @@ func main() {
 	}
 	if *folded != "" {
 		if err := os.WriteFile(*folded, []byte(res.Folded), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
-			cli.Exit(cli.ExitFailure)
+			fail(cli.ExitFailure, err)
 		}
 		fmt.Printf("\nfolded stacks written to %s (feed to flamegraph.pl)\n", *folded)
 	}
@@ -187,8 +148,7 @@ func main() {
 		}
 		fmt.Println(")")
 		if err := res.Trace.Dump(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
-			cli.Exit(cli.ExitFailure)
+			fail(cli.ExitFailure, err)
 		}
 	}
 }
@@ -199,25 +159,20 @@ func main() {
 // re-running from t=0. Exits 1 when a failure is found (its window and the
 // last clean state are reported), 0 when the run is clean.
 func runBisect(cfg bench.Config, outPath string) {
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
-		cli.Exit(cli.ExitFailure)
-	}
-
 	// Base checkpoint at t=0, before any simulated work.
 	base, err := bench.NewSession(cfg)
 	if err != nil {
-		fail(err)
+		fail(cli.ExitFailure, err)
 	}
 	loState, err := base.Snapshot()
 	if err != nil {
-		fail(err)
+		fail(cli.ExitFailure, err)
 	}
 
 	// Full probe: does a bisectable failure happen at all, and by when?
 	probe, _, crashed, err := probeTo(cfg, loState, cost.Cycles(1)<<62)
 	if err != nil {
-		fail(err)
+		fail(cli.ExitFailure, err)
 	}
 	hi := probe.VTime()
 	if !crashed && probe.UAFReads() == 0 {
@@ -225,7 +180,7 @@ func runBisect(cfg bench.Config, outPath string) {
 		// failure hides in the drain, beyond where a pause can land.
 		res, err := probe.Finish()
 		if err != nil {
-			fail(err)
+			fail(cli.ExitFailure, err)
 		}
 		if res.UAFReads > 0 {
 			fmt.Printf("stsim: bisect — all %d poison reads occur in the drain phase, beyond the pausable horizon; nothing to bisect\n", res.UAFReads)
@@ -251,7 +206,7 @@ func runBisect(cfg bench.Config, outPath string) {
 		mid := lo + (hi-lo)/2
 		ses, paused, crashed, err := probeTo(cfg, loState, mid)
 		if err != nil {
-			fail(err)
+			fail(cli.ExitFailure, err)
 		}
 		probes++
 		if crashed || ses.UAFReads() > 0 {
@@ -270,7 +225,7 @@ func runBisect(cfg bench.Config, outPath string) {
 		}
 		st, err := ses.Snapshot()
 		if err != nil {
-			fail(err)
+			fail(cli.ExitFailure, err)
 		}
 		loState = st
 	}
@@ -281,11 +236,17 @@ func runBisect(cfg bench.Config, outPath string) {
 		loState.Decisions(), cost.Seconds(lo)*1000)
 	if outPath != "" {
 		if err := snap.WriteFile(outPath, loState); err != nil {
-			fail(err)
+			fail(cli.ExitFailure, err)
 		}
 		fmt.Printf("stsim: clean checkpoint written to %s — resume it with -restore to step into the failure\n", outPath)
 	}
 	cli.Exit(cli.ExitFailure)
+}
+
+// fail reports err and exits with code.
+func fail(code int, err error) {
+	fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
+	cli.Exit(code)
 }
 
 // probeTo forks a session from a snapshot and advances it to virtual time

@@ -320,15 +320,3 @@ func (a *Allocator) IsAllocated(p word.Addr) bool {
 	pg, slot, ok := a.locate(p)
 	return ok && pg.allocated[slot] && pg.base+word.Addr(slot*classSizes[pg.class]) == p
 }
-
-// SizeOf returns the usable size in words of allocated object p.
-func (a *Allocator) SizeOf(p word.Addr) (int, bool) {
-	pg, slot, ok := a.locate(p)
-	if !ok || !pg.allocated[slot] {
-		return 0, false
-	}
-	if pg.base+word.Addr(slot*classSizes[pg.class]) != p {
-		return 0, false
-	}
-	return classSizes[pg.class], true
-}

@@ -91,10 +91,3 @@ func classifyNoteArg(arg ast.Expr) string {
 	}
 	return ""
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -3,7 +3,6 @@ package analyzers
 import (
 	"go/ast"
 	"strconv"
-	"strings"
 )
 
 // SimClock keeps host time and host randomness out of the simulator.
@@ -91,6 +90,3 @@ func runSimClock(p *Pass) {
 		})
 	}
 }
-
-// dirIsSim is exported for tests.
-func dirIsSim(dir string) bool { return simPackages[strings.TrimSuffix(dir, "/")] }

@@ -26,7 +26,8 @@ import (
 	"stacktrack/internal/workload"
 )
 
-// Scheme names accepted by Config.Scheme.
+// Canonical scheme names. Config.Scheme also accepts every spelling in
+// schemeSpellings.
 const (
 	SchemeOriginal   = "Original"
 	SchemeEpoch      = "Epoch"
@@ -34,7 +35,25 @@ const (
 	SchemeDTA        = "DTA"
 	SchemeRefCount   = "RefCount"
 	SchemeStackTrack = "StackTrack"
+	SchemeUnsafeFree = "UnsafeFree"
 )
+
+// schemeSpellings maps every accepted scheme spelling, lowercased, to its
+// canonical name: the paper's names and the short ones stfuzz documents.
+var schemeSpellings = map[string]string{
+	"original": SchemeOriginal, "leak": SchemeOriginal, "epoch": SchemeEpoch, "hazards": SchemeHazards,
+	"hp": SchemeHazards, "dta": SchemeDTA, "refcount": SchemeRefCount, "stacktrack": SchemeStackTrack,
+	"unsafefree": SchemeUnsafeFree, "unsafe": SchemeUnsafeFree,
+}
+
+// CanonicalScheme resolves a scheme spelling, case-insensitively, to its
+// canonical name. An unknown name comes back unchanged with ok false.
+func CanonicalScheme(name string) (canon string, ok bool) {
+	if canon, ok = schemeSpellings[strings.ToLower(name)]; !ok {
+		canon = name
+	}
+	return canon, ok
+}
 
 // Structure names accepted by Config.Structure.
 const (
@@ -44,6 +63,9 @@ const (
 	StructHash     = "hash"
 	StructRBTree   = "rbtree"
 )
+
+// Structures lists the names accepted by Config.Structure.
+var Structures = []string{StructList, StructSkipList, StructQueue, StructHash, StructRBTree}
 
 // Config describes one benchmark run.
 type Config struct {
@@ -134,6 +156,7 @@ func (c Config) WithDefaults() Config {
 	if c.Scheme == "" {
 		c.Scheme = SchemeStackTrack
 	}
+	c.Scheme, _ = CanonicalScheme(c.Scheme)
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}

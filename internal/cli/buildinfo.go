@@ -1,46 +1,27 @@
 package cli
 
-// Build provenance for result metadata: which toolchain and which
-// commit produced a run. Read once from the binary's embedded build
-// info (debug.ReadBuildInfo), so it works for `go run` and installed
-// binaries alike; outside a VCS checkout the commit fields stay empty
-// rather than failing.
-
 import (
 	"runtime"
 	"runtime/debug"
-	"sync"
+
+	"stacktrack/internal/bench"
 )
 
-// BuildProvenance describes the binary that produced a run.
-type BuildProvenance struct {
-	GoVersion string // toolchain, e.g. "go1.22.0"
-	Commit    string // vcs.revision, "" when not built from VCS
-	Dirty     bool   // vcs.modified
-}
-
-var (
-	provOnce sync.Once
-	prov     BuildProvenance
-)
-
-// Provenance returns the binary's build provenance (cached after the
-// first call).
-func Provenance() BuildProvenance {
-	provOnce.Do(func() {
-		prov.GoVersion = runtime.Version()
-		info, ok := debug.ReadBuildInfo()
-		if !ok {
-			return
-		}
+// Provenance returns the toolchain and VCS commit that built this binary,
+// as result metadata. It reads the binary's embedded build info, so it
+// works for `go run` and installed binaries alike; outside a VCS checkout
+// the commit fields stay empty rather than failing.
+func Provenance() *bench.RunMeta {
+	m := &bench.RunMeta{GoVersion: runtime.Version()}
+	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			switch s.Key {
 			case "vcs.revision":
-				prov.Commit = s.Value
+				m.Commit = s.Value
 			case "vcs.modified":
-				prov.Dirty = s.Value == "true"
+				m.Dirty = s.Value == "true"
 			}
 		}
-	})
-	return prov
+	}
+	return m
 }

@@ -1,6 +1,6 @@
 // Package cli holds the small plumbing shared by the command-line front
-// ends (stbench, stfuzz, stsim): signal-driven cancellation and the
-// conventional exit codes. It exists so every long-running command
+// ends (stbench, stfuzz, stsim): the workload flag set, signal-driven
+// cancellation and the conventional exit codes. It exists so every long-running command
 // handles SIGINT the same way — cancel a context, let the run stop at
 // the next decision/point boundary, flush partial output, and exit with
 // a status that distinguishes "interrupted" from "failed".
@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -65,20 +64,6 @@ func SplitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// ParseIntList parses a comma-separated list of positive integers
-// (-threads 1,2,4,8); an empty value yields nil without error.
-func ParseIntList(s string) ([]int, error) {
-	var out []int
-	for _, p := range SplitList(s) {
-		n, err := strconv.Atoi(p)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad list entry %q: want a positive integer", p)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // VirtualMs converts the value of a virtual-time flag given in

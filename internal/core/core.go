@@ -119,14 +119,6 @@ type Stats struct {
 	SegLenHist [8]uint64
 }
 
-// HistBucket returns the SegLenHist index for a segment of n blocks.
-// It is definitionally metrics.BucketOf with 8 buckets (pinned by a
-// test), so the view over the registry histogram reproduces the
-// original array exactly.
-func HistBucket(n int) int {
-	return metrics.BucketOf(uint64(n), 8)
-}
-
 // HistLabel names a SegLenHist bucket.
 func HistLabel(b int) string {
 	switch {
@@ -251,31 +243,6 @@ func (st *StackTrack) state(t *sched.Thread) *tstate {
 		panic(fmt.Sprintf("core: thread %d not attached", t.ID))
 	}
 	return ts
-}
-
-// ThreadStats returns a snapshot of thread tid's StackTrack counters,
-// assembled from the metric lanes.
-func (st *StackTrack) ThreadStats(tid int) *Stats {
-	c := &st.c
-	s := &Stats{
-		Segments:      c.segments.Lane(tid),
-		SegmentBlocks: c.segmentBlocks.Lane(tid),
-		OpsFast:       c.opsFast.Lane(tid),
-		OpsSlow:       c.opsSlow.Lane(tid),
-		Scans:         c.scans.Lane(tid),
-		ScanRestarts:  c.scanRestarts.Lane(tid),
-		ScannedWords:  c.scannedWords.Lane(tid),
-		ScannedDepth:  c.scannedDepth.Lane(tid),
-		ElidedWords:   c.elidedWords.Lane(tid),
-		ScanTargets:   c.scanTargets.Lane(tid),
-		Frees:         c.frees.Lane(tid),
-		Freed:         c.freed.Lane(tid),
-		FalseHeld:     c.falseHeld.Lane(tid),
-	}
-	for i := range s.SegLenHist {
-		s.SegLenHist[i] = c.segLenHist.LaneBucket(tid, i)
-	}
-	return s
 }
 
 // TotalStats sums StackTrack counters across threads.

@@ -6,6 +6,7 @@ package ds
 
 import (
 	"fmt"
+	"slices"
 
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/mem"
@@ -69,7 +70,7 @@ func (h *HashTable) Seed(a *alloc.Allocator, m *mem.Memory, keys []uint64, val u
 		if len(ks) == 0 {
 			continue
 		}
-		sortU64(ks)
+		slices.Sort(ks)
 		SeedChain(a, m, h.buckets+word.Addr(i), ks, val)
 	}
 }
@@ -82,25 +83,4 @@ func (h *HashTable) Count(m *mem.Memory, limit int) int {
 		total += WalkLen(m, h.buckets+word.Addr(i), limit)
 	}
 	return total
-}
-
-// Chains returns each non-empty bucket's unmarked keys in chain order,
-// outside the simulation (test support).
-func (h *HashTable) Chains(m *mem.Memory, limit int) [][]uint64 {
-	var out [][]uint64
-	for i := 0; i < h.nBuckets; i++ {
-		if ks := Walk(m, h.buckets+word.Addr(i), limit); len(ks) > 0 {
-			out = append(out, ks)
-		}
-	}
-	return out
-}
-
-func sortU64(a []uint64) {
-	// Insertion sort: seed sets are per-bucket and tiny.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }

@@ -408,24 +408,6 @@ func (m *Memory) CASPlain(tid int, a word.Addr, old, new uint64) (ok, miss bool)
 	return ok, miss
 }
 
-// AddPlain performs a non-transactional fetch-and-add, returning the new
-// value and whether the access missed.
-func (m *Memory) AddPlain(tid int, a word.Addr, delta uint64) (uint64, bool) {
-	m.check(a)
-	m.c.plainReads.Inc(tid)
-	m.c.plainWrites.Inc(tid)
-	l := word.Line(a)
-	if m.liveTx > 0 {
-		m.doomLineConflicts(tid, l)
-	}
-	m.words[a] += delta
-	v, miss := m.words[a], m.writeTouch(tid, l)
-	if m.obs != nil {
-		m.obs.SyncRMW(tid, a, true)
-	}
-	return v, miss
-}
-
 // Peek reads a word without participating in conflict detection or
 // statistics. It is intended for assertions, debugging, and the allocator's
 // internal metadata walks — never for simulated program logic.

@@ -97,30 +97,6 @@ func BucketOf(v uint64, n int) int {
 	return b
 }
 
-// BucketLabel renders bucket i of an n-bucket histogram as a human
-// label: the lower bound for interior buckets, "2^k+" for the overflow.
-func BucketLabel(i, n int) string {
-	if i < n-1 {
-		return itoa(uint64(1) << uint(i))
-	}
-	return itoa(uint64(1)<<uint(i)) + "+"
-}
-
-// itoa avoids strconv in a package that otherwise only imports sort.
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
 // Name reports the registered name.
 func (h *Histogram) Name() string { return h.name }
 

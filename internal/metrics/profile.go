@@ -147,9 +147,6 @@ func (tp *ThreadProfile) SpanBlock(sp Span, opID, pc int, name string, elapsed u
 	op.blocks[pc] += self
 }
 
-// PhaseCycles reports the cycles attributed to ph.
-func (tp *ThreadProfile) PhaseCycles(ph Phase) uint64 { return tp.phases[ph] }
-
 // Total reports all cycles attributed to this thread.
 func (tp *ThreadProfile) Total() uint64 {
 	var s uint64

@@ -45,22 +45,23 @@ func (*Leak) Name() string { return "Original" }
 // Retire implements sched.Reclaimer by dropping the node on the floor.
 func (l *Leak) Retire(_ *sched.Thread, _ word.Addr) { l.Leaked++ }
 
-// NewScheme constructs a scheme by benchmark name. StackTrack is built
-// separately (it also needs a Runner); this covers the plain-runner
+// NewScheme constructs a scheme by its canonical benchmark name (other
+// spellings resolve through bench.CanonicalScheme first). StackTrack is
+// built separately (it also needs a Runner); this covers the plain-runner
 // baselines.
 func NewScheme(name string, sc *sched.Scheduler, al *alloc.Allocator) (sched.Reclaimer, error) {
 	switch name {
-	case "Original", "leak":
+	case "Original":
 		return NewLeak(), nil
-	case "Epoch", "epoch":
+	case "Epoch":
 		return NewEpoch(sc, DefaultEpochLimit), nil
-	case "Hazards", "hp":
+	case "Hazards":
 		return NewHazard(sc, al, DefaultHazardSlots, DefaultHazardLimit), nil
-	case "DTA", "dta":
+	case "DTA":
 		return NewDTA(sc, al, DefaultAnchorHops, DefaultDTALimit), nil
-	case "RefCount", "refcount":
+	case "RefCount":
 		return NewRefCount(sc, DefaultRefSlots), nil
-	case "UnsafeFree", "unsafe":
+	case "UnsafeFree":
 		return NewUnsafeFree(), nil
 	default:
 		return nil, fmt.Errorf("reclaim: unknown scheme %q", name)

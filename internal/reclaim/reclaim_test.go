@@ -352,7 +352,7 @@ func TestRefCountSchemeByName(t *testing.T) {
 	if err != nil || s.Name() != "RefCount" {
 		t.Fatalf("RefCount registration broken: %v", err)
 	}
-	if _, err := NewScheme("unsafe", w.sc, w.al); err != nil {
+	if _, err := NewScheme("UnsafeFree", w.sc, w.al); err != nil {
 		t.Fatal(err)
 	}
 }

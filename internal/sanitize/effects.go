@@ -23,7 +23,6 @@ package sanitize
 
 import (
 	"fmt"
-	"strings"
 
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/prog"
@@ -257,14 +256,4 @@ func (c *EffectChecker) SlotWrite(t *sched.Thread, slot int, v uint64) {
 		c.report(t, EffPtrToNonPtr, prog.F(slot).String())
 	}
 	s.wroteF[slot] = true
-}
-
-// EffectSummary renders the checker's findings.
-func (c *EffectChecker) EffectSummary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "effects: %d violation(s)", c.Violations)
-	for _, f := range c.Findings {
-		fmt.Fprintf(&b, "\n  %s", f)
-	}
-	return b.String()
 }

@@ -67,7 +67,3 @@ func (t Topology) CoreOf(hw int) int { return hw % t.Cores }
 // Threads beyond the context count share contexts round-robin and are
 // subject to preemption by the scheduler.
 func (t Topology) HWContextOf(thread int) int { return thread % t.Contexts() }
-
-// Oversubscribed reports whether n software threads exceed the machine's
-// hardware contexts, i.e. whether the OS must timeslice.
-func (t Topology) Oversubscribed(n int) bool { return n > t.Contexts() }

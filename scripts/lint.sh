@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo lint gate: formatting, go vet, the custom analyzers (cmd/stlint),
-# and the static prog-IR verifier (stsim -lint).
+# the static prog-IR verifier (stsim -lint), and a check that every CLI
+# flag is documented.
 #
 # The custom analyzers are run through cmd/stlint, a standalone binary
 # built on go/ast alone, rather than through `go vet -vettool=...`: the
@@ -39,6 +40,22 @@ if [ -n "${DATAFLOW_REPORT:-}" ]; then
     cat "$DATAFLOW_REPORT"
 else
     go run ./cmd/stsim -lint -dataflow
+fi
+
+echo "== flag documentation (stbench, stsim, stfuzz) =="
+# Every flag a command lists under -h must be named in README.md,
+# EXPERIMENTS.md, DESIGN.md or a script: a flag no documented workflow,
+# gate or experiment uses goes instead of lingering unread.
+undocumented=
+for tool in stbench stsim stfuzz; do
+    for f in $(go run "./cmd/$tool" -h 2>&1 | sed -n 's/^  -\([a-z][a-z0-9-]*\).*/\1/p'); do
+        grep -qE -- "(^|[^a-zA-Z0-9-])-$f([^a-zA-Z0-9-]|\$)" README.md EXPERIMENTS.md DESIGN.md scripts/*.sh ||
+            undocumented="$undocumented $tool:-$f"
+    done
+done
+if [ -n "$undocumented" ]; then
+    echo "flags named in no README/EXPERIMENTS/DESIGN/script:$undocumented" >&2
+    exit 1
 fi
 
 echo "lint: all clean"

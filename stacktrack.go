@@ -225,6 +225,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	if cfg.Scheme == "" {
 		cfg.Scheme = SchemeStackTrack
 	}
+	cfg.Scheme, _ = bench.CanonicalScheme(cfg.Scheme)
 	if n := cfg.Topology.Contexts(); n > sched.MaxContexts {
 		return nil, fmt.Errorf("stacktrack: topology has %d hardware contexts, at most %d supported", n, sched.MaxContexts)
 	}
