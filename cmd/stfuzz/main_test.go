@@ -58,6 +58,9 @@ func TestBadWorkloadFlagsRejected(t *testing.T) {
 	for _, c := range []struct{ flag, value string }{
 		{"-threads", "65"},
 		{"-ds", "bogus"},
+		{"-initial", "-5"},
+		{"-mutate", "101"},
+		{"-mutate", "-1"},
 	} {
 		out, code := stfuzz(t, nil, append(tinyCampaign, c.flag, c.value)...)
 		if code != 2 {

@@ -282,7 +282,7 @@ func reportProfile(p *metrics.ProfileSummary) {
 
 func report(r *bench.Result) {
 	c := r.Config
-	fmt.Printf("stsim — %s / %s, %d threads, %.1f ms measured (seed %#x)\n\n",
+	fmt.Printf("stsim — %s / %s, %d threads, %.4g ms measured (seed %#x)\n\n",
 		c.Structure, c.Scheme, c.Threads, cost.Seconds(c.MeasureCycles)*1000, c.Seed)
 
 	fmt.Println("throughput")

@@ -54,6 +54,9 @@ func TestBadWorkloadFlagsRejected(t *testing.T) {
 		{"-warmup-ms", "-1"},
 		{"-scheme", "bogus"},
 		{"-ds", "bogus"},
+		{"-initial", "-5"},
+		{"-mutate", "101"},
+		{"-mutate", "-1"},
 	} {
 		_, stderr, code := stsim(t, append(tinyRun, c.flag, c.value)...)
 		if code != 2 {
@@ -71,6 +74,21 @@ func TestLowercaseSchemeRuns(t *testing.T) {
 	}
 	if !strings.Contains(stdout, " / StackTrack,") || !strings.Contains(stdout, "\nstacktrack\n") {
 		t.Fatalf("-scheme stacktrack did not report a StackTrack run:\n%s", stdout)
+	}
+}
+
+// TestHeaderPrintsWindowAsGiven: the header prints the window as given,
+// neither rounded to a tenth of a millisecond nor carrying the rounding to
+// whole cycles (0.3 ms is 0.2999996 ms of cycles).
+func TestHeaderPrintsWindowAsGiven(t *testing.T) {
+	for _, ms := range []string{"0.05", "0.3"} {
+		stdout, stderr, code := stsim(t, append(tinyRun, "-measure-ms", ms)...)
+		if code != 0 {
+			t.Fatalf("-measure-ms %s exited %d; stderr:\n%s", ms, code, stderr)
+		}
+		if !strings.Contains(stdout, ", "+ms+" ms measured ") {
+			t.Fatalf("-measure-ms %s: header does not report %s ms:\n%s", ms, ms, stdout)
+		}
 	}
 }
 

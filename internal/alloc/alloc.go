@@ -25,6 +25,7 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stacktrack/internal/mem"
 	"stacktrack/internal/metrics"
@@ -37,15 +38,21 @@ const (
 	pageShift = 9
 )
 
-// classSizes are the object sizes in words. AllocAlign divides every class,
-// keeping bit 0 of object addresses free for pointer marking.
-var classSizes = []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
+// Class c holds objects of 2<<c words, 2 to PageWords. AllocAlign divides
+// every class, keeping bit 0 of object addresses free for pointer marking.
+// Every size is a power of two, so finding a class and a slot are shifts.
+const numClasses = pageShift
 
-func classFor(n int) int {
-	for c, s := range classSizes {
-		if n <= s {
-			return c
-		}
+// classShift is log2 of class c's object size in words.
+func classShift(c int8) uint { return uint(c) + 1 }
+
+// classFor returns the smallest class holding n words, or -1 if none does.
+func classFor(n int) int8 {
+	if n <= 2 {
+		return 0
+	}
+	if c := bits.Len(uint(n-1)) - 1; c < numClasses {
+		return int8(c)
 	}
 	return -1
 }
@@ -101,8 +108,13 @@ type Allocator struct {
 	// heapBase, so every page number in [heapBase, heapBrk) exists and
 	// locate is pure arithmetic plus one slice index — no map hashing on
 	// the allocation/free/scan hot paths.
-	pages     []page
-	freeLists [][]word.Addr // per-class stacks of free objects
+	pages []page
+	// fresh[c] is class c's bump cursor: its newest page's slots from
+	// next to end have never been handed out. freeLists[c] is a LIFO
+	// stack of the class's freed and Unalloc'd objects, which TryAlloc
+	// pops before it bumps the cursor.
+	fresh     [numClasses]struct{ next, end word.Addr }
+	freeLists [numClasses][]word.Addr
 
 	g   allocGauges
 	obs Observer
@@ -114,7 +126,6 @@ func New(m *mem.Memory) *Allocator {
 	a := &Allocator{
 		m:         m,
 		staticBrk: word.Addr(word.LineWords), // skip line 0: null + red zone
-		freeLists: make([][]word.Addr, len(classSizes)),
 		g:         newAllocGauges(m.Metrics()),
 	}
 	return a
@@ -163,8 +174,8 @@ func (a *Allocator) freezeStatic() {
 	a.heapBrk = a.heapBase
 }
 
-// growClass claims a fresh page for class c and populates its free list.
-func (a *Allocator) growClass(c int) bool {
+// growClass claims a fresh page for class c and points its cursor at it.
+func (a *Allocator) growClass(c int8) bool {
 	if a.heapBase == 0 {
 		a.freezeStatic()
 	}
@@ -173,16 +184,11 @@ func (a *Allocator) growClass(c int) bool {
 	}
 	base := a.heapBrk
 	a.heapBrk += PageWords
-	size := classSizes[c]
-	slots := PageWords / size
 	// base always equals the old heapBrk, so append keeps pages dense in
 	// page-number order.
-	a.pages = append(a.pages, page{base: base, class: int8(c), allocated: make([]bool, slots)})
+	a.pages = append(a.pages, page{base: base, class: c, allocated: make([]bool, PageWords>>classShift(c))})
 	a.g.pagesInUse.Add(1)
-	// Push slots in reverse so low addresses pop first.
-	for i := slots - 1; i >= 0; i-- {
-		a.freeLists[c] = append(a.freeLists[c], base+word.Addr(i*size))
-	}
+	a.fresh[c].next, a.fresh[c].end = base, base+PageWords
 	return true
 }
 
@@ -202,26 +208,31 @@ func (a *Allocator) Alloc(tid int, n int) word.Addr {
 func (a *Allocator) TryAlloc(tid int, n int) (word.Addr, error) {
 	c := classFor(n)
 	if c < 0 {
-		return 0, fmt.Errorf("alloc: object of %d words exceeds max class %d", n, classSizes[len(classSizes)-1])
+		return 0, fmt.Errorf("alloc: object of %d words exceeds max class %d", n, PageWords)
 	}
-	if len(a.freeLists[c]) == 0 && !a.growClass(c) {
-		return 0, fmt.Errorf("alloc: simulated heap exhausted (%d pages in use); increase memory or enable reclamation", uint64(a.g.pagesInUse.Value()))
+	shift := classShift(c)
+	size := 1 << shift
+	var p word.Addr
+	if fl := a.freeLists[c]; len(fl) > 0 {
+		p = fl[len(fl)-1]
+		a.freeLists[c] = fl[:len(fl)-1]
+	} else {
+		f := &a.fresh[c]
+		if f.next == f.end && !a.growClass(c) {
+			return 0, fmt.Errorf("alloc: simulated heap exhausted (%d pages in use); increase memory or enable reclamation", uint64(a.g.pagesInUse.Value()))
+		}
+		p = f.next
+		f.next += word.Addr(size)
 	}
-	fl := a.freeLists[c]
-	p := fl[len(fl)-1]
-	a.freeLists[c] = fl[:len(fl)-1]
 
 	pg := &a.pages[(uint64(p)-uint64(a.heapBase))>>pageShift]
-	slot := int(p-pg.base) / classSizes[c]
+	slot := int(p-pg.base) >> shift
 	if pg.allocated[slot] {
 		panic(fmt.Sprintf("alloc: free list corruption at %#x", uint64(p)))
 	}
 	pg.allocated[slot] = true
 
-	size := classSizes[c]
-	for i := 0; i < size; i++ {
-		a.m.Poke(p+word.Addr(i), 0)
-	}
+	a.m.Zero(p, size)
 	a.g.allocs.Add(1)
 	a.g.liveObjects.Add(1)
 	a.g.liveWords.Add(int64(size))
@@ -239,7 +250,7 @@ func (a *Allocator) Free(tid int, p word.Addr) {
 	if !ok {
 		panic(fmt.Sprintf("alloc: Free of non-heap address %#x", uint64(p)))
 	}
-	size := classSizes[pg.class]
+	size := 1 << classShift(pg.class)
 	if pg.base+word.Addr(slot*size) != p {
 		panic(fmt.Sprintf("alloc: Free of interior pointer %#x", uint64(p)))
 	}
@@ -271,7 +282,7 @@ func (a *Allocator) Unalloc(p word.Addr) {
 	if !ok {
 		panic(fmt.Sprintf("alloc: Unalloc of non-heap address %#x", uint64(p)))
 	}
-	size := classSizes[pg.class]
+	size := 1 << classShift(pg.class)
 	if pg.base+word.Addr(slot*size) != p {
 		panic(fmt.Sprintf("alloc: Unalloc of interior pointer %#x", uint64(p)))
 	}
@@ -299,7 +310,7 @@ func (a *Allocator) locate(p word.Addr) (*page, int, bool) {
 		return nil, 0, false
 	}
 	pg := &a.pages[(uint64(p)-uint64(a.heapBase))>>pageShift]
-	return pg, int(p-pg.base) / classSizes[pg.class], true
+	return pg, int(p-pg.base) >> classShift(pg.class), true
 }
 
 // ObjectStart resolves any pointer into the heap — including interior
@@ -311,12 +322,12 @@ func (a *Allocator) ObjectStart(p word.Addr) (word.Addr, bool) {
 	if !ok || !pg.allocated[slot] {
 		return 0, false
 	}
-	return pg.base + word.Addr(slot*classSizes[pg.class]), true
+	return pg.base + word.Addr(slot<<classShift(pg.class)), true
 }
 
 // IsAllocated reports whether p is the start of a currently allocated
 // object.
 func (a *Allocator) IsAllocated(p word.Addr) bool {
 	pg, slot, ok := a.locate(p)
-	return ok && pg.allocated[slot] && pg.base+word.Addr(slot*classSizes[pg.class]) == p
+	return ok && pg.allocated[slot] && pg.base+word.Addr(slot<<classShift(pg.class)) == p
 }

@@ -12,8 +12,8 @@ func (a *Allocator) SizeOf(p word.Addr) (int, bool) {
 	if !ok || !pg.allocated[slot] {
 		return 0, false
 	}
-	if pg.base+word.Addr(slot*classSizes[pg.class]) != p {
+	if pg.base+word.Addr(slot<<classShift(pg.class)) != p {
 		return 0, false
 	}
-	return classSizes[pg.class], true
+	return 1 << classShift(pg.class), true
 }

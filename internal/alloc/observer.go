@@ -39,7 +39,7 @@ func (a *Allocator) SlotRange(p word.Addr) (base word.Addr, size int, allocated,
 	if !ok {
 		return 0, 0, false, false
 	}
-	size = classSizes[pg.class]
+	size = 1 << classShift(pg.class)
 	return pg.base + word.Addr(slot*size), size, pg.allocated[slot], true
 }
 
@@ -48,7 +48,7 @@ func (a *Allocator) SlotRange(p word.Addr) (base word.Addr, size int, allocated,
 // restored snapshot.
 func (a *Allocator) ForEachSlot(f func(base word.Addr, size int, allocated bool)) {
 	for _, pg := range a.pages {
-		size := classSizes[pg.class]
+		size := 1 << classShift(pg.class)
 		for slot, al := range pg.allocated {
 			f(pg.base+word.Addr(slot*size), size, al)
 		}

@@ -1,9 +1,9 @@
 // Snapshot-state support (internal/snap): the allocator's mutable state is
 // the static/heap break points, the per-page allocation bitmaps, and the
-// per-class free lists. Free-list ORDER is part of the state: allocation
-// order after a restore must match the uninterrupted run exactly, and the
-// lists are LIFO stacks. The activity gauges live in the metrics registry
-// and are restored there.
+// per-class free lists, bump cursors included. Free-list ORDER is part of
+// the state: allocation order after a restore must match the uninterrupted
+// run exactly, and the lists are LIFO stacks. The activity gauges live in
+// the metrics registry and are restored there.
 
 package alloc
 
@@ -39,9 +39,18 @@ func (a *Allocator) SaveState() *State {
 			Allocated: append([]bool(nil), pg.allocated...),
 		})
 	}
-	s.FreeLists = make([][]word.Addr, len(a.freeLists))
+	// A saved list holds the cursor's remaining slots at its bottom,
+	// highest address first, so that popping it hands out the allocator's
+	// own order: freed objects first, then the fresh slots upward.
+	s.FreeLists = make([][]word.Addr, numClasses)
 	for c := range a.freeLists {
-		s.FreeLists[c] = append([]word.Addr(nil), a.freeLists[c]...)
+		f, size := a.fresh[c], word.Addr(1)<<classShift(int8(c))
+		fl := make([]word.Addr, 0, int((f.end-f.next)/size)+len(a.freeLists[c]))
+		for p := f.end; p > f.next; {
+			p -= size
+			fl = append(fl, p)
+		}
+		s.FreeLists[c] = append(fl, a.freeLists[c]...)
 	}
 	return s
 }
@@ -69,8 +78,12 @@ func (a *Allocator) RestoreState(s *State) {
 			allocated: append([]bool(nil), ps.Allocated...),
 		}
 	}
-	a.freeLists = make([][]word.Addr, len(s.FreeLists))
-	for c := range s.FreeLists {
-		a.freeLists[c] = append([]word.Addr(nil), s.FreeLists[c]...)
+	// Every saved slot goes back on the free list and the cursors start
+	// empty: the list pops in the order the cursor would have bumped, and
+	// TryAlloc zeroes what it pops like any reused slot.
+	a.fresh = [numClasses]struct{ next, end word.Addr }{}
+	a.freeLists = [numClasses][]word.Addr{}
+	for c, fl := range s.FreeLists {
+		a.freeLists[c] = append([]word.Addr(nil), fl...)
 	}
 }

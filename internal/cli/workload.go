@@ -113,6 +113,12 @@ func (w *Workload) Config() (bench.Config, error) {
 	if err := CheckThreads(w.Threads); err != nil {
 		return bench.Config{}, err
 	}
+	if w.Initial < 0 {
+		return bench.Config{}, fmt.Errorf("-initial: %d is not a structure size (want 0 or more)", w.Initial)
+	}
+	if w.Mutate < 0 || w.Mutate > 100 {
+		return bench.Config{}, fmt.Errorf("-mutate: %d is not a percentage (want 0-100)", w.Mutate)
+	}
 	return w.windows(bench.Config{Structure: w.DS, Scheme: w.Scheme, Threads: w.Threads,
 		Seed: w.Seed, InitialSize: w.Initial, MutatePct: w.Mutate})
 }

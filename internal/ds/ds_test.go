@@ -13,6 +13,7 @@ import (
 	"stacktrack/internal/sched"
 	"stacktrack/internal/topo"
 	"stacktrack/internal/word"
+	"stacktrack/internal/workload"
 )
 
 // fixture is a minimal world for driving data structures directly.
@@ -475,5 +476,25 @@ func TestCountingWalks(t *testing.T) {
 		if a := testing.AllocsPerRun(10, func() { c.count() }); a != 0 {
 			t.Errorf("%s: counting walk allocates %.0f times", c.name, a)
 		}
+	}
+}
+
+// BenchmarkSkipListSeed times the tx-scan prefill: 100,000 keys of
+// 200,000 seeded into a skip list on a run-sized memory, as the harness
+// builds it. Only Seed is timed; each iteration takes a scrubbed memory
+// from the pool, as a run does.
+func BenchmarkSkipListSeed(b *testing.B) {
+	keys := workload.SampleKeys(1, 100000, 200000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := mem.New(mem.Config{Words: 1 << 22})
+		al := alloc.New(m)
+		s := ds.NewSkipList(al)
+		b.StartTimer()
+		s.Seed(al, m, keys, 7, uint64(i))
+		b.StopTimer()
+		m.Release()
+		b.StartTimer()
 	}
 }

@@ -422,6 +422,22 @@ func (m *Memory) Poke(a word.Addr, v uint64) {
 	m.words[a] = v
 }
 
+// Zero sets words [a, a+n) to zero without conflict detection or
+// statistics, as n Pokes of 0 would, with one bounds check. Nothing writes
+// a word at or above the high-water mark before the mark passes it, and
+// Release and RestoreState zero what lies above the mark they leave, so
+// only the part of the range below the mark is cleared.
+func (m *Memory) Zero(a word.Addr, n int) {
+	if n <= 0 {
+		return
+	}
+	hi := m.hi
+	m.check(a + word.Addr(n-1))
+	if uint64(a) < hi {
+		clear(m.words[a:min(uint64(a)+uint64(n), hi)])
+	}
+}
+
 // doomLineConflicts dooms every transaction (other than tid's) with line l
 // in its data set, as a write-acquisition by tid would on real hardware.
 func (m *Memory) doomLineConflicts(tid int, l uint64) {

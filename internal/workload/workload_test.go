@@ -138,7 +138,8 @@ func referenceSampleKeys(seed uint64, n int, keyRange uint64) []uint64 {
 func TestSampleKeysMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 1000, 100000} {
 		un := uint64(n)
-		for _, keyRange := range []uint64{un, 2 * un, 2*un + 1, 1 << 40, 1 << 63} {
+		// 64n and 64n+1 straddle the switch from the bitmap to the buckets.
+		for _, keyRange := range []uint64{un, 2 * un, 2*un + 1, 64 * un, 64*un + 1, 1 << 40, 1 << 63} {
 			seeds := []uint64{0, 1, 7, 0xdeadbeef}
 			if n == 100000 {
 				seeds = seeds[:2]

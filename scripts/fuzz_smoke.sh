@@ -8,8 +8,9 @@
 # Phase 2 — the fuzzer catches a seeded bug, and parallel exploration
 # catches it faster: the deliberately unsound "unsafe" scheme at a
 # calibrated workload whose first failing seed is ~57 seeds deep
-# (~40 ms/run), so a 4-worker campaign beats a 1-worker campaign by a wide
-# margin. -expect-failure inverts the exit status: finding the bug is
+# (~40 ms/run), so 4-worker campaigns beat 1-worker campaigns by a wide
+# margin; each width runs twice (1, 4, 4, 1) and the summed times are
+# compared. -expect-failure inverts the exit status: finding the bug is
 # success.
 #
 # Phase 3 — checkpoint/restore end to end: a fork-heap campaign (one
@@ -50,11 +51,19 @@ ms_now() {
   fi
 }
 
-t0=$(ms_now); seeded 1; t1=$(ms_now)
-serial=$(( t1 - t0 ))
-t0=$(ms_now); seeded 4; t1=$(ms_now)
-parallel=$(( t1 - t0 ))
-echo "seeded bug found: 1 worker ${serial}ms, 4 workers ${parallel}ms"
+# Each width runs twice, in the order 1, 4, 4, 1, and the sums are
+# compared, so a burst of other load on the host lands on both widths
+# rather than on one campaign.
+serial=0 parallel=0
+for w in 1 4 4 1; do
+  t0=$(ms_now); seeded "$w"; t1=$(ms_now)
+  if [ "$w" -eq 1 ]; then
+    serial=$(( serial + t1 - t0 ))
+  else
+    parallel=$(( parallel + t1 - t0 ))
+  fi
+done
+echo "seeded bug found twice each: 1 worker ${serial}ms, 4 workers ${parallel}ms"
 
 cores=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 if [ "$cores" -lt 2 ]; then
