@@ -3,7 +3,7 @@
 //
 //	statesem      exported *State structs stay value-semantic
 //	simclock      no wall-clock / math/rand inside the simulator
-//	metrichandle  metrics wired once by literal name, used via handles
+//	effectdecl    ds blocks declare the register/frame effects they have
 //
 // Usage:
 //

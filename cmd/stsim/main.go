@@ -9,11 +9,14 @@
 //
 // Checkpoint/restore (internal/snap): -checkpoint-at V pauses the run at
 // virtual time V ms, writes a snapshot (-checkpoint-out), and continues to
-// the normal report. -restore resumes a snapshot taken under the same
-// flags and finishes it — bit-identical to the uninterrupted run:
+// the normal report. -restore resumes a snapshot and finishes it —
+// bit-identical to the uninterrupted run. The run is rebuilt from the
+// configuration recorded in the snapshot, so it also loads a checkpoint
+// written by stfuzz -snap-out; of the other flags only the observability
+// toggles (-trace, -profile/-folded, -sanitize) apply:
 //
 //	stsim -scheme Epoch -checkpoint-at 10 -checkpoint-out run.stsnap
-//	stsim -scheme Epoch -restore run.stsnap
+//	stsim -restore run.stsnap
 //
 // Bisect mode (-bisect) binary-searches virtual time for the first point
 // a monotone oracle fails — a poison (use-after-free) read or a simulated
@@ -55,7 +58,7 @@ func main() {
 
 		checkpointAt  = flag.Float64("checkpoint-at", 0, "checkpoint at this virtual time (ms), then continue")
 		checkpointOut = flag.String("checkpoint-out", "checkpoint.stsnap", "snapshot file written by -checkpoint-at / -bisect")
-		restore       = flag.String("restore", "", "restore this snapshot (same flags as the checkpointing run) and finish it")
+		restore       = flag.String("restore", "", "restore this snapshot, rebuilt from the configuration it records, and finish it")
 		bisect        = flag.Bool("bisect", false, "binary-search virtual time for the first poison read or simulated crash")
 	)
 	prof := cli.ProfileFlags(flag.CommandLine)
@@ -94,8 +97,13 @@ func main() {
 		if err != nil {
 			break
 		}
+		var rcfg bench.Config
+		if rcfg, err = bench.SnapshotConfig(st); err != nil {
+			break
+		}
+		rcfg.TraceEvents, rcfg.Profile, rcfg.Sanitize = cfg.TraceEvents, cfg.Profile, cfg.Sanitize
 		var ses *bench.Session
-		ses, err = bench.SessionFromSnapshot(cfg, st)
+		ses, err = bench.SessionFromSnapshot(rcfg, st)
 		if err != nil {
 			break
 		}

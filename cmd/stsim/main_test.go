@@ -94,7 +94,8 @@ func TestHeaderPrintsWindowAsGiven(t *testing.T) {
 
 // TestCheckpointRestoreMatchesUninterrupted checks the README's claim: a
 // run checkpointed mid-way, and the same run restored from that
-// checkpoint, both print the report of the run that never paused.
+// checkpoint, both print the report of the run that never paused. The
+// restore names no workload flags: the snapshot records its run.
 func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 	want, stderr, code := stsim(t, tinyRun...)
 	if code != 0 {
@@ -102,10 +103,10 @@ func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 	}
 	file := filepath.Join(t.TempDir(), "run.stsnap")
 	for _, args := range [][]string{
-		{"-checkpoint-at", "0.3", "-checkpoint-out", file},
+		append(tinyRun[:len(tinyRun):len(tinyRun)], "-checkpoint-at", "0.3", "-checkpoint-out", file),
 		{"-restore", file},
 	} {
-		out, stderr, code := stsim(t, append(tinyRun, args...)...)
+		out, stderr, code := stsim(t, args...)
 		if code != 0 {
 			t.Fatalf("%v exited %d; stderr:\n%s", args, code, stderr)
 		}

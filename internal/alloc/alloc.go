@@ -28,7 +28,6 @@ import (
 	"math/bits"
 
 	"stacktrack/internal/mem"
-	"stacktrack/internal/metrics"
 	"stacktrack/internal/word"
 )
 
@@ -57,36 +56,16 @@ func classFor(n int) int8 {
 	return -1
 }
 
-// Stats counts allocator activity. It is a read-only view assembled
-// from the metrics registry's gauges: allocator quantities are levels,
-// not monotonic counts (Unalloc rolls an allocation back), and gauges
-// survive the harness's measurement-window reset so live-object
-// accounting stays exact.
+// Stats counts allocator activity. Allocator quantities are levels, not
+// monotonic counts (Unalloc rolls an allocation back), so the harness's
+// measurement-window reset leaves them alone and live-object accounting
+// stays exact.
 type Stats struct {
 	Allocs      uint64 // successful allocations
 	Frees       uint64 // successful frees
 	PagesInUse  uint64 // heap pages handed out
 	LiveObjects uint64 // currently allocated objects
 	LiveWords   uint64 // words in currently allocated objects
-}
-
-// allocGauges holds the allocator's metric handles.
-type allocGauges struct {
-	allocs      *metrics.Gauge
-	frees       *metrics.Gauge
-	pagesInUse  *metrics.Gauge
-	liveObjects *metrics.Gauge
-	liveWords   *metrics.Gauge
-}
-
-func newAllocGauges(r *metrics.Registry) allocGauges {
-	return allocGauges{
-		allocs:      r.Gauge("alloc.allocs"),
-		frees:       r.Gauge("alloc.frees"),
-		pagesInUse:  r.Gauge("alloc.pages_in_use"),
-		liveObjects: r.Gauge("alloc.live_objects"),
-		liveWords:   r.Gauge("alloc.live_words"),
-	}
 }
 
 type page struct {
@@ -116,34 +95,24 @@ type Allocator struct {
 	fresh     [numClasses]struct{ next, end word.Addr }
 	freeLists [numClasses][]word.Addr
 
-	g   allocGauges
-	obs Observer
+	stats Stats
+	obs   Observer
 }
 
 // New creates an allocator covering all of m. Address 0 is reserved so the
 // null pointer is never a valid object.
 func New(m *mem.Memory) *Allocator {
-	a := &Allocator{
+	return &Allocator{
 		m:         m,
 		staticBrk: word.Addr(word.LineWords), // skip line 0: null + red zone
-		g:         newAllocGauges(m.Metrics()),
 	}
-	return a
 }
 
 // Memory returns the underlying simulated memory.
 func (a *Allocator) Memory() *mem.Memory { return a.m }
 
-// Stats returns a snapshot of allocator statistics.
-func (a *Allocator) Stats() Stats {
-	return Stats{
-		Allocs:      uint64(a.g.allocs.Value()),
-		Frees:       uint64(a.g.frees.Value()),
-		PagesInUse:  uint64(a.g.pagesInUse.Value()),
-		LiveObjects: uint64(a.g.liveObjects.Value()),
-		LiveWords:   uint64(a.g.liveWords.Value()),
-	}
-}
+// Stats returns a copy of the allocator's counters.
+func (a *Allocator) Stats() Stats { return a.stats }
 
 // Static bump-allocates n words that are never freed (globals, stacks,
 // register files). It must not be interleaved with heap growth: all static
@@ -187,7 +156,7 @@ func (a *Allocator) growClass(c int8) bool {
 	// base always equals the old heapBrk, so append keeps pages dense in
 	// page-number order.
 	a.pages = append(a.pages, page{base: base, class: c, allocated: make([]bool, PageWords>>classShift(c))})
-	a.g.pagesInUse.Add(1)
+	a.stats.PagesInUse++
 	a.fresh[c].next, a.fresh[c].end = base, base+PageWords
 	return true
 }
@@ -219,7 +188,7 @@ func (a *Allocator) TryAlloc(tid int, n int) (word.Addr, error) {
 	} else {
 		f := &a.fresh[c]
 		if f.next == f.end && !a.growClass(c) {
-			return 0, fmt.Errorf("alloc: simulated heap exhausted (%d pages in use); increase memory or enable reclamation", uint64(a.g.pagesInUse.Value()))
+			return 0, fmt.Errorf("alloc: simulated heap exhausted (%d pages in use); increase memory or enable reclamation", a.stats.PagesInUse)
 		}
 		p = f.next
 		f.next += word.Addr(size)
@@ -233,9 +202,9 @@ func (a *Allocator) TryAlloc(tid int, n int) (word.Addr, error) {
 	pg.allocated[slot] = true
 
 	a.m.Zero(p, size)
-	a.g.allocs.Add(1)
-	a.g.liveObjects.Add(1)
-	a.g.liveWords.Add(int64(size))
+	a.stats.Allocs++
+	a.stats.LiveObjects++
+	a.stats.LiveWords += uint64(size)
 	if a.obs != nil {
 		a.obs.ObjectAlloc(tid, p, n, size)
 	}
@@ -265,9 +234,9 @@ func (a *Allocator) Free(tid int, p word.Addr) {
 		a.m.WritePlain(tid, p+word.Addr(i), word.Poison)
 	}
 	a.freeLists[pg.class] = append(a.freeLists[pg.class], p)
-	a.g.frees.Add(1)
-	a.g.liveObjects.Add(-1)
-	a.g.liveWords.Add(-int64(size))
+	a.stats.Frees++
+	a.stats.LiveObjects--
+	a.stats.LiveWords -= uint64(size)
 	if a.obs != nil {
 		a.obs.ObjectFreeEnd(tid, p, size)
 	}
@@ -294,9 +263,9 @@ func (a *Allocator) Unalloc(p word.Addr) {
 		a.m.Poke(p+word.Addr(i), word.Poison)
 	}
 	a.freeLists[pg.class] = append(a.freeLists[pg.class], p)
-	a.g.allocs.Add(-1) // the allocation never happened, architecturally
-	a.g.liveObjects.Add(-1)
-	a.g.liveWords.Add(-int64(size))
+	a.stats.Allocs-- // the allocation never happened, architecturally
+	a.stats.LiveObjects--
+	a.stats.LiveWords -= uint64(size)
 	if a.obs != nil {
 		a.obs.ObjectUnalloc(p, size)
 	}

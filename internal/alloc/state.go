@@ -2,8 +2,8 @@
 // the static/heap break points, the per-page allocation bitmaps, and the
 // per-class free lists, bump cursors included. Free-list ORDER is part of
 // the state: allocation order after a restore must match the uninterrupted
-// run exactly, and the lists are LIFO stacks. The activity gauges live in
-// the metrics registry and are restored there.
+// run exactly, and the lists are LIFO stacks. The activity counters ride
+// along by value.
 
 package alloc
 
@@ -24,11 +24,13 @@ type State struct {
 
 	Pages     []PageState   // sorted by Base
 	FreeLists [][]word.Addr // per class, bottom of stack first
+
+	Stats Stats
 }
 
 // SaveState copies out the complete mutable state.
 func (a *Allocator) SaveState() *State {
-	s := &State{StaticBrk: a.staticBrk, HeapBase: a.heapBase, HeapBrk: a.heapBrk}
+	s := &State{StaticBrk: a.staticBrk, HeapBase: a.heapBase, HeapBrk: a.heapBrk, Stats: a.stats}
 	// The dense page slice is already in ascending Base order, preserving
 	// the sorted-by-Base layout the map-backed allocator serialized.
 	for i := range a.pages {
@@ -65,6 +67,7 @@ func (a *Allocator) RestoreState(s *State) {
 	}
 	a.heapBase = s.HeapBase
 	a.heapBrk = s.HeapBrk
+	a.stats = s.Stats
 	n := 0
 	if s.HeapBase != 0 {
 		n = int((uint64(s.HeapBrk) - uint64(s.HeapBase)) >> pageShift)

@@ -71,7 +71,7 @@ type Analyzer struct {
 
 // All is the repo's analyzer suite, the set cmd/stlint runs.
 func All() []*Analyzer {
-	return []*Analyzer{StateSem, SimClock, MetricHandle, EffectDecl}
+	return []*Analyzer{StateSem, SimClock, EffectDecl}
 }
 
 // Run parses every Go package under root (skipping testdata and hidden

@@ -132,47 +132,6 @@ func f() clock.Time { return clock.Now() }`)
 	wantFindings(t, fs, 1, "time.Now")
 }
 
-// --- metrichandle ------------------------------------------------------------
-
-func TestMetricHandleFlagsNonLiteralName(t *testing.T) {
-	fs := runOn(t, MetricHandle, "internal/foo", `package foo
-func f(r interface{ Counter(string) int }, name string) {
-	r.Counter(name)
-}`)
-	wantFindings(t, fs, 1, "not a string literal")
-}
-
-func TestMetricHandleFlagsLookupInLoop(t *testing.T) {
-	fs := runOn(t, MetricHandle, "internal/foo", `package foo
-func f(r interface{ Counter(string) int }) {
-	for i := 0; i < 10; i++ {
-		r.Counter("foo.bar")
-	}
-}`)
-	wantFindings(t, fs, 1, "inside a loop")
-}
-
-func TestMetricHandleAllowsWiringTimeLookups(t *testing.T) {
-	fs := runOn(t, MetricHandle, "internal/foo", `package foo
-func f(r interface {
-	Counter(string) int
-	Histogram(string, int) int
-}) (int, int) {
-	return r.Counter("foo.ops"), r.Histogram("foo.lat", 32)
-}`)
-	wantFindings(t, fs, 0, "")
-}
-
-func TestMetricHandleExemptsMetricsPackage(t *testing.T) {
-	fs := runOn(t, MetricHandle, "internal/metrics", `package metrics
-func f(r interface{ Counter(string) int }, name string) {
-	for i := 0; i < 2; i++ {
-		r.Counter(name)
-	}
-}`)
-	wantFindings(t, fs, 0, "")
-}
-
 // --- suite over the real tree ------------------------------------------------
 
 // TestRepoIsClean runs the full suite over the module root: the

@@ -233,8 +233,8 @@ type Result struct {
 	Mem  mem.Stats  // transactional-memory events during measurement
 	Core core.Stats // StackTrack events during measurement (zero otherwise)
 
-	// Metrics is the full registry snapshot at measurement end: every
-	// counter, gauge, and histogram from all layers, keyed by name.
+	// Metrics is every layer's counters, levels and histograms at
+	// measurement end, keyed by name (see metricsSnapshot).
 	Metrics metrics.Snapshot
 
 	// Profile and Folded carry the virtual-cycle profile when
@@ -274,7 +274,6 @@ type instance struct {
 	m    *mem.Memory
 	al   *alloc.Allocator
 	sc   *sched.Scheduler
-	reg  *metrics.Registry
 	prof *metrics.Profiler
 	san  *sanitize.Sanitizer
 	eff  *sanitize.EffectChecker // nil unless Config.CheckEffects
@@ -283,6 +282,10 @@ type instance struct {
 	drivers []*prog.Driver
 	scheme  sched.Reclaimer
 	st      *core.StackTrack // nil unless Scheme == StackTrack
+
+	// opCycles is every runner's per-operation latency histogram,
+	// whatever the scheme.
+	opCycles metrics.Histogram
 
 	stopping bool
 	baseline func() uint64
@@ -316,7 +319,7 @@ type instance struct {
 }
 
 // Phase-machine states. Checkpoints may be taken in warmup, crash, and
-// measure; the measurement bookkeeping (registry reset, warm-counter
+// measure; the measurement bookkeeping (counter reset, warm-counter
 // capture) is its own state so it runs exactly once across save/restore.
 const (
 	phaseWarmup = iota
@@ -343,8 +346,7 @@ func newInstance(cfg Config) (*instance, error) {
 	}
 
 	in := &instance{cfg: cfg}
-	in.reg = metrics.NewRegistry()
-	in.m = mem.New(mem.Config{Words: cfg.MemWords, Topology: cfg.Topology, Metrics: in.reg})
+	in.m = mem.New(mem.Config{Words: cfg.MemWords, Topology: cfg.Topology})
 	in.al = alloc.New(in.m)
 	in.sc = sched.NewScheduler(in.m, cfg.Topology, cfg.Seed)
 	if cfg.Profile {
@@ -547,11 +549,15 @@ func (in *instance) advance() {
 			in.phase = phaseMeasureStart
 
 		case phaseMeasureStart:
-			// Measurement: zero every counter and histogram in the
-			// registry (the layers' Stats views read the same handles) and
-			// restart the profiler. Gauges — the allocator levels —
-			// survive the reset.
-			in.reg.Reset()
+			// Measurement: zero every layer's counters and the op
+			// histogram, and restart the profiler. The allocator's
+			// levels survive the reset.
+			*in.m.Stats() = mem.Stats{}
+			*in.sc.Stats() = sched.Stats{}
+			if in.st != nil {
+				*in.st.Stats() = core.Stats{}
+			}
+			in.opCycles = metrics.Histogram{}
 			if in.prof != nil {
 				in.prof.Reset()
 			}
@@ -591,13 +597,13 @@ func (in *instance) finish() (*Result, error) {
 	}
 	res.Ops -= opsBefore
 	res.Throughput = float64(res.Ops) / cost.Seconds(cfg.MeasureCycles)
-	res.Mem = in.m.TotalStats()
+	res.Mem = *in.m.Stats()
 	if in.st != nil {
-		res.Core = in.st.TotalStats()
+		res.Core = *in.st.Stats()
 		res.AvgSegmentLimit = in.st.AvgSegmentLimit()
 	}
 	// Snapshot before the drain phase pollutes the counters.
-	res.Metrics = in.reg.Snapshot()
+	res.Metrics = in.metricsSnapshot()
 	if in.prof != nil {
 		res.Profile = in.prof.Summary()
 		var sb strings.Builder
@@ -695,11 +701,83 @@ func (in *instance) midOp(t *sched.Thread) bool {
 // newRunner returns a fresh per-thread operation runner.
 func (in *instance) newRunner() prog.Runner {
 	if in.st != nil {
-		return core.NewRunner(in.st)
+		return core.NewRunner(in.st, &in.opCycles)
 	}
 	// Baseline runners observe op latency into the same histogram the
 	// StackTrack runner uses, so profiles are comparable across schemes.
-	return &prog.PlainRunner{Hist: in.reg.Histogram("ops.op_cycles", metrics.TimeHistBuckets)}
+	return &prog.PlainRunner{Hist: &in.opCycles}
+}
+
+// metricsSnapshot builds Result.Metrics from the layers' stats structs;
+// it is the one place that names them. Every run reports mem.*, sched.*,
+// the alloc.* levels and ops.op_cycles; StackTrack runs add core.* and
+// core.seg_len_blocks.
+func (in *instance) metricsSnapshot() metrics.Snapshot {
+	m, sc, al := in.m.Stats(), in.sc.Stats(), in.al.Stats()
+	s := metrics.Snapshot{
+		Counters: map[string]uint64{
+			"mem.tx_begins":          m.TxBegins,
+			"mem.commits":            m.Commits,
+			"mem.aborts_conflict":    m.ConflictAborts,
+			"mem.aborts_capacity":    m.CapacityAborts,
+			"mem.aborts_preempt":     m.PreemptAborts,
+			"mem.aborts_explicit":    m.ExplicitAborts,
+			"mem.plain_reads":        m.PlainReads,
+			"mem.plain_writes":       m.PlainWrites,
+			"mem.tx_reads":           m.TxReads,
+			"mem.tx_writes":          m.TxWrites,
+			"mem.lines_read":         m.LinesRead,
+			"mem.lines_written":      m.LinesWritten,
+			"mem.committed_actions":  m.CommittedActions,
+			"mem.coherence_misses":   m.CoherenceMisses,
+			"sched.preemptions":      sc.Preemptions,
+			"sched.context_switches": sc.ContextSwitches,
+			"sched.blocked_polls":    sc.BlockedPolls,
+			"sched.crashes":          sc.Crashes,
+		},
+		Gauges: map[string]int64{
+			"alloc.allocs":       int64(al.Allocs),
+			"alloc.frees":        int64(al.Frees),
+			"alloc.pages_in_use": int64(al.PagesInUse),
+			"alloc.live_objects": int64(al.LiveObjects),
+			"alloc.live_words":   int64(al.LiveWords),
+		},
+		Histograms: map[string]metrics.HistSnapshot{
+			"ops.op_cycles": {
+				Buckets: append([]uint64(nil), in.opCycles.Buckets[:]...),
+				Count:   in.opCycles.Count,
+				Sum:     in.opCycles.Sum,
+			},
+		},
+	}
+	if in.st == nil {
+		return s
+	}
+	c := *in.st.Stats()
+	for name, v := range map[string]uint64{
+		"core.segments":       c.Segments,
+		"core.segment_blocks": c.SegmentBlocks,
+		"core.ops_fast":       c.OpsFast,
+		"core.ops_slow":       c.OpsSlow,
+		"core.scans":          c.Scans,
+		"core.scan_restarts":  c.ScanRestarts,
+		"core.scanned_words":  c.ScannedWords,
+		"core.scanned_depth":  c.ScannedDepth,
+		"core.elided_words":   c.ElidedWords,
+		"core.scan_targets":   c.ScanTargets,
+		"core.frees":          c.Frees,
+		"core.freed":          c.Freed,
+		"core.false_held":     c.FalseHeld,
+		"core.wasted_cycles":  c.WastedCycles,
+	} {
+		s.Counters[name] = v
+	}
+	// Every committed segment lands in exactly one bucket, so the
+	// histogram's count and sum are the segment and block counters.
+	s.Histograms["core.seg_len_blocks"] = metrics.HistSnapshot{
+		Buckets: c.SegLenHist[:], Count: c.Segments, Sum: c.SegmentBlocks,
+	}
+	return s
 }
 
 // registerOps indexes the structure's operations by ID for snapshot

@@ -9,12 +9,12 @@
 // completely fresh instance from the same Config (closures, op tables,
 // and the static memory layout are deterministic functions of the
 // configuration) and then injects every layer's saved mutable state over
-// it, in dependency order — metrics, memory, allocator, scheduler (thread
-// contexts re-link their transaction descriptors), then the reclamation
-// scheme (which reinstalls its wait closures and slow-path accessors),
-// then the harness phase machine. Because every State is a deep copy,
-// one snapshot can seed any number of restored instances: that is the
-// fork primitive.
+// it, in dependency order — memory, allocator, scheduler (thread contexts
+// re-link their transaction descriptors), then the reclamation scheme
+// (which reinstalls its wait closures and slow-path accessors), then the
+// harness phase machine. Each layer's state carries its own counters.
+// Because every State is a deep copy, one snapshot can seed any number of
+// restored instances: that is the fork primitive.
 
 package bench
 
@@ -24,19 +24,22 @@ import (
 
 	"stacktrack/internal/core"
 	"stacktrack/internal/cost"
+	"stacktrack/internal/metrics"
 	"stacktrack/internal/prog"
 	"stacktrack/internal/reclaim"
 	"stacktrack/internal/snap"
 )
 
-// HarnessState is the bench layer's own snapshot payload: the phase
-// machine, the outcome counters, the history collector, and each driver's
-// in-flight operation. It rides in snap.State.Harness as a gob-registered
-// concrete type.
+// HarnessState is the bench layer's own snapshot payload: the run's
+// configuration, the phase machine, the outcome counters, the op-latency
+// histogram, the history collector, and each driver's in-flight
+// operation. It rides in snap.State.Harness as a gob-registered concrete
+// type.
 type HarnessState struct {
-	// Fingerprint digests the Config the snapshot was taken under; a
-	// restore into a differently-shaped instance fails loudly.
-	Fingerprint string
+	// Config is the run the snapshot was taken from, Policy dropped. A
+	// restore builds from it (SnapshotConfig) or checks a caller's
+	// Config against it, so a differently-shaped instance fails loudly.
+	Config Config
 
 	Phase           int
 	Horizon         cost.Cycles
@@ -53,6 +56,7 @@ type HarnessState struct {
 	Hits     uint64
 	UAFReads uint64
 	Stopping bool
+	OpCycles metrics.Histogram
 
 	Histories  map[uint64][]KeyOp
 	HistStarts []cost.Cycles
@@ -84,16 +88,16 @@ func (hs *HarnessState) Clone() *HarnessState {
 	return &out
 }
 
-// fingerprint digests every Config field that shapes instance
-// construction. Policy and the observability toggles are excluded: they
-// do not change the simulated state, and Policy is not serializable.
-func (c Config) fingerprint() string {
+// fingerprint keeps every Config field that shapes instance construction
+// and zeroes the rest. Policy and the observability toggles are dropped:
+// they do not change the simulated state, and Policy is not serializable.
+func (c Config) fingerprint() Config {
 	c.Policy = nil
 	c.TraceEvents = 0
 	c.RingTrace = false
 	c.Profile = false
 	c.Sanitize = false
-	return fmt.Sprintf("%+v", c)
+	return c
 }
 
 // Session drives one benchmark run incrementally.
@@ -202,7 +206,6 @@ func (s *Session) Snapshot() (*snap.State, error) {
 		Mem:     in.m.SaveState(),
 		Alloc:   in.al.SaveState(),
 		Sched:   in.sc.SaveState(),
-		Metrics: in.reg.SaveState(),
 		Harness: in.saveHarness(),
 	}
 	if in.st != nil {
@@ -217,13 +220,28 @@ func (s *Session) Snapshot() (*snap.State, error) {
 	return st, nil
 }
 
+// SnapshotConfig returns the configuration the snapshot's run was built
+// from, Policy dropped. A restore that knows nothing else about the run
+// (stsim -restore of an stfuzz checkpoint) builds from it.
+func SnapshotConfig(st *snap.State) (Config, error) {
+	hs, ok := st.Harness.(*HarnessState)
+	if !ok {
+		return Config{}, fmt.Errorf("bench: snapshot carries no harness state (%T)", st.Harness)
+	}
+	return hs.Config, nil
+}
+
 // SessionFromSnapshot builds a fresh instance from cfg and injects the
 // snapshot's state, yielding a session positioned exactly where the
 // snapshot was taken. cfg must describe the same run the snapshot came
-// from (Policy may differ — it is the caller's job to position any
-// replay policy at st.Decisions()).
+// from (Policy and the observability toggles may differ — it is the
+// caller's job to position any replay policy at st.Decisions()).
 func SessionFromSnapshot(cfg Config, st *snap.State) (*Session, error) {
 	if err := checkpointable(cfg); err != nil {
+		return nil, err
+	}
+	saved, err := SnapshotConfig(st)
+	if err != nil {
 		return nil, err
 	}
 	s, err := NewSession(cfg)
@@ -231,15 +249,10 @@ func SessionFromSnapshot(cfg Config, st *snap.State) (*Session, error) {
 		return nil, err
 	}
 	in := s.in
-	hs, ok := st.Harness.(*HarnessState)
-	if !ok {
-		return nil, fmt.Errorf("bench: snapshot carries no harness state (%T)", st.Harness)
-	}
-	if got, want := in.cfg.fingerprint(), hs.Fingerprint; got != want {
-		return nil, fmt.Errorf("bench: snapshot was taken under a different configuration\n  snapshot: %s\n  restore:  %s", want, got)
+	if got, want := in.cfg.fingerprint(), saved.fingerprint(); got != want {
+		return nil, fmt.Errorf("bench: snapshot was taken under a different configuration\n  snapshot: %+v\n  restore:  %+v", want, got)
 	}
 	// Dependency order; see the package comment at the top of this file.
-	in.reg.RestoreState(st.Metrics)
 	in.m.RestoreState(st.Mem)
 	in.al.RestoreState(st.Alloc)
 	in.sc.RestoreState(st.Sched)
@@ -259,7 +272,7 @@ func SessionFromSnapshot(cfg Config, st *snap.State) (*Session, error) {
 			return nil, err
 		}
 	}
-	if err := in.restoreHarness(hs); err != nil {
+	if err := in.restoreHarness(st.Harness.(*HarnessState)); err != nil {
 		return nil, err
 	}
 	// Sanitizer state is analysis-only and never snapshotted; rebuild the
@@ -273,7 +286,7 @@ func SessionFromSnapshot(cfg Config, st *snap.State) (*Session, error) {
 // saveHarness copies out the harness's own state.
 func (in *instance) saveHarness() *HarnessState {
 	hs := &HarnessState{
-		Fingerprint:     in.cfg.fingerprint(),
+		Config:          in.cfg,
 		Phase:           in.phase,
 		Horizon:         in.horizon,
 		CrashIdx:        in.crashIdx,
@@ -288,8 +301,10 @@ func (in *instance) saveHarness() *HarnessState {
 		Hits:            in.hits,
 		UAFReads:        in.uafReads,
 		Stopping:        in.stopping,
+		OpCycles:        in.opCycles,
 		HistStarts:      append([]cost.Cycles(nil), in.histStarts...),
 	}
+	hs.Config.Policy = nil
 	if in.histories != nil {
 		hs.Histories = make(map[uint64][]KeyOp, len(in.histories))
 		for k, ops := range in.histories {
@@ -320,6 +335,7 @@ func (in *instance) restoreHarness(hs *HarnessState) error {
 	in.succIns, in.succDel, in.hits = hs.SuccIns, hs.SuccDel, hs.Hits
 	in.uafReads = hs.UAFReads
 	in.stopping = hs.Stopping
+	in.opCycles = hs.OpCycles
 	copy(in.histStarts, hs.HistStarts)
 	if hs.Histories != nil {
 		in.histories = make(map[uint64][]KeyOp, len(hs.Histories))

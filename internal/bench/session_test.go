@@ -385,6 +385,69 @@ func TestSessionGuards(t *testing.T) {
 	}
 }
 
+// TestRestoreFromSnapshotConfig checkpoints runs shaped like
+// internal/explore's (its RunConfig defaults: 16 hash buckets, a 32-entry
+// queue prefill and 1M words of memory, which neither bench's defaults nor
+// stsim's flags reproduce), round-trips the snapshot through the file
+// encoding, and restores it from the configuration it records. The
+// restored run's export must equal the uninterrupted run's byte for byte,
+// and bench's defaults must be refused as a different run.
+func TestRestoreFromSnapshotConfig(t *testing.T) {
+	for _, tc := range []struct{ structure, scheme string }{
+		{StructHash, SchemeStackTrack},
+		{StructQueue, SchemeHazards},
+	} {
+		t.Run(tc.structure, func(t *testing.T) {
+			cfg := Config{
+				Structure: tc.structure, Scheme: tc.scheme, Threads: 7, Seed: 6,
+				InitialSize: 48, KeyRange: 96, MutatePct: 60, Buckets: 16, QueuePrefill: 32,
+				WarmupCycles: cost.FromSeconds(0.0002), MeasureCycles: cost.FromSeconds(0.002),
+				MemWords: 1 << 20, Validate: true,
+			}
+			want := mustRun(t, cfg)
+			ses, err := NewSession(cfg)
+			if err != nil {
+				t.Fatalf("NewSession: %v", err)
+			}
+			if !ses.RunToDecision(totalDecisions(t, cfg) / 2) {
+				t.Fatal("pause did not fire")
+			}
+			saved, err := ses.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := snap.Encode(&buf, saved); err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			st, err := snap.Decode(&buf)
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			rcfg, err := SnapshotConfig(st)
+			if err != nil {
+				t.Fatalf("SnapshotConfig: %v", err)
+			}
+			defaults := rcfg
+			defaults.Buckets, defaults.QueuePrefill, defaults.MemWords = 0, 0, 0
+			if _, err := SessionFromSnapshot(defaults, st); err == nil {
+				t.Error("restore under bench's defaults accepted an explore-shaped snapshot")
+			}
+			restored, err := SessionFromSnapshot(rcfg, st)
+			if err != nil {
+				t.Fatalf("SessionFromSnapshot: %v", err)
+			}
+			got, err := restored.Finish()
+			if err != nil {
+				t.Fatalf("restored Finish: %v", err)
+			}
+			if wb, gb := exportBytes(t, "explore-shaped", want), exportBytes(t, "explore-shaped", got); !bytes.Equal(wb, gb) {
+				t.Fatalf("restored run differs from the uninterrupted one:\n%s\nvs\n%s", gb, wb)
+			}
+		})
+	}
+}
+
 const helperSnapEnv = "STSNAP_HELPER_FILE"
 
 // TestHelperFinishFromSnapshot is not a test: it is the child half of

@@ -104,3 +104,49 @@ func TestBadKeyDistRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestMetricsSnapshotKeys pins the names each scheme reports and the
+// measure-start reset: every run has mem.*, sched.*, the alloc.* levels
+// and ops.op_cycles; only StackTrack runs add core.* and
+// core.seg_len_blocks. The crash precedes the measurement window, so its
+// count reads zero, while the allocator's levels, prefill included,
+// survive the reset.
+func TestMetricsSnapshotKeys(t *testing.T) {
+	for _, scheme := range []string{SchemeStackTrack, SchemeEpoch} {
+		cfg := quickCfg(scheme)
+		cfg.CrashThreads = 1
+		m := mustRun(t, cfg).Metrics
+		layers := map[string]int{}
+		for name := range m.Counters {
+			layers[name[:strings.IndexByte(name, '.')]]++
+		}
+		wantCore, wantHists := 0, 1
+		if scheme == SchemeStackTrack {
+			wantCore, wantHists = 14, 2
+		}
+		if layers["mem"] != 14 || layers["sched"] != 4 || layers["core"] != wantCore || len(layers) != 2+min(wantCore, 1) {
+			t.Errorf("%s: counters per layer %v", scheme, layers)
+		}
+		if len(m.Gauges) != 5 || len(m.Histograms) != wantHists {
+			t.Errorf("%s: %d gauges, %d histograms", scheme, len(m.Gauges), len(m.Histograms))
+		}
+		if m.Counters["sched.crashes"] != 0 {
+			t.Errorf("%s: sched.crashes = %d, want the pre-window crash reset", scheme, m.Counters["sched.crashes"])
+		}
+		if m.Gauges["alloc.allocs"] < int64(cfg.InitialSize) {
+			t.Errorf("%s: alloc.allocs = %d, below the %d-node prefill", scheme, m.Gauges["alloc.allocs"], cfg.InitialSize)
+		}
+		for name, h := range m.Histograms {
+			var n uint64
+			for _, b := range h.Buckets {
+				n += b
+			}
+			if h.Count == 0 || n != h.Count {
+				t.Errorf("%s: %s holds %d observations in its buckets, count %d", scheme, name, n, h.Count)
+			}
+		}
+		if h := m.Histograms["core.seg_len_blocks"]; scheme == SchemeStackTrack && h.Count != m.Counters["core.segments"] {
+			t.Errorf("segment histogram count %d, core.segments %d", h.Count, m.Counters["core.segments"])
+		}
+	}
+}

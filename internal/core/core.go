@@ -11,7 +11,6 @@ import (
 
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/cost"
-	"stacktrack/internal/metrics"
 	"stacktrack/internal/prog/dataflow"
 	"stacktrack/internal/sched"
 	"stacktrack/internal/word"
@@ -95,9 +94,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats aggregates StackTrack-specific counters for one thread, feeding the
-// paper's Figures 4 and 5 and the scan-statistics table. It is a
-// read-only view assembled from the metrics registry (see coreCounters).
+// Stats counts StackTrack events across all threads, feeding the paper's
+// Figures 4 and 5 and the scan-statistics table. The runner and scanner
+// increment the fields of the instance's own Stats directly.
 type Stats struct {
 	Segments      uint64 // committed split segments
 	SegmentBlocks uint64 // basic blocks inside committed segments
@@ -112,6 +111,7 @@ type Stats struct {
 	Frees         uint64 // objects handed to FREE
 	Freed         uint64 // objects actually released to the allocator
 	FalseHeld     uint64 // frees deferred because a reference was seen
+	WastedCycles  uint64 // virtual cycles spent in segments that then aborted
 
 	// SegLenHist buckets committed segment lengths by power of two:
 	// [1], [2,3], [4,7], [8,15], ..., [128,∞) — the distribution behind
@@ -154,50 +154,6 @@ type tstate struct {
 	scanHeld  map[word.Addr]struct{}
 }
 
-// coreCounters holds the StackTrack layer's metric handles.
-type coreCounters struct {
-	segments      *metrics.Counter
-	segmentBlocks *metrics.Counter
-	opsFast       *metrics.Counter
-	opsSlow       *metrics.Counter
-	scans         *metrics.Counter
-	scanRestarts  *metrics.Counter
-	scannedWords  *metrics.Counter
-	scannedDepth  *metrics.Counter
-	elidedWords   *metrics.Counter
-	scanTargets   *metrics.Counter
-	frees         *metrics.Counter
-	freed         *metrics.Counter
-	falseHeld     *metrics.Counter
-	// wastedCycles counts virtual cycles spent in segments that
-	// subsequently aborted — work hardware threw away. It is new with
-	// the metrics subsystem (no legacy Stats field).
-	wastedCycles *metrics.Counter
-	segLenHist   *metrics.Histogram
-	opCycles     *metrics.Histogram
-}
-
-func newCoreCounters(r *metrics.Registry) coreCounters {
-	return coreCounters{
-		segments:      r.Counter("core.segments"),
-		segmentBlocks: r.Counter("core.segment_blocks"),
-		opsFast:       r.Counter("core.ops_fast"),
-		opsSlow:       r.Counter("core.ops_slow"),
-		scans:         r.Counter("core.scans"),
-		scanRestarts:  r.Counter("core.scan_restarts"),
-		scannedWords:  r.Counter("core.scanned_words"),
-		scannedDepth:  r.Counter("core.scanned_depth"),
-		elidedWords:   r.Counter("core.elided_words"),
-		scanTargets:   r.Counter("core.scan_targets"),
-		frees:         r.Counter("core.frees"),
-		freed:         r.Counter("core.freed"),
-		falseHeld:     r.Counter("core.false_held"),
-		wastedCycles:  r.Counter("core.wasted_cycles"),
-		segLenHist:    r.Histogram("core.seg_len_blocks", 8),
-		opCycles:      r.Histogram("ops.op_cycles", metrics.TimeHistBuckets),
-	}
-}
-
 // StackTrack is the framework instance shared by all threads of a run. It
 // implements sched.Reclaimer; operations must execute under its Runner
 // rather than the plain runner.
@@ -216,15 +172,12 @@ type StackTrack struct {
 
 	threads [64]*tstate
 
-	c coreCounters
+	stats Stats
 }
 
 // New creates a StackTrack instance over a scheduler and allocator.
 func New(sc *sched.Scheduler, al *alloc.Allocator, cfg Config) *StackTrack {
-	return &StackTrack{
-		cfg: cfg.withDefaults(), sc: sc, al: al,
-		c: newCoreCounters(sc.M.Metrics()),
-	}
+	return &StackTrack{cfg: cfg.withDefaults(), sc: sc, al: al}
 }
 
 // Name implements sched.Reclaimer.
@@ -245,51 +198,10 @@ func (st *StackTrack) state(t *sched.Thread) *tstate {
 	return ts
 }
 
-// TotalStats sums StackTrack counters across threads.
-func (st *StackTrack) TotalStats() Stats {
-	c := &st.c
-	s := Stats{
-		Segments:      c.segments.Value(),
-		SegmentBlocks: c.segmentBlocks.Value(),
-		OpsFast:       c.opsFast.Value(),
-		OpsSlow:       c.opsSlow.Value(),
-		Scans:         c.scans.Value(),
-		ScanRestarts:  c.scanRestarts.Value(),
-		ScannedWords:  c.scannedWords.Value(),
-		ScannedDepth:  c.scannedDepth.Value(),
-		ElidedWords:   c.elidedWords.Value(),
-		ScanTargets:   c.scanTargets.Value(),
-		Frees:         c.frees.Value(),
-		Freed:         c.freed.Value(),
-		FalseHeld:     c.falseHeld.Value(),
-	}
-	for i := range s.SegLenHist {
-		s.SegLenHist[i] = c.segLenHist.Bucket(i)
-	}
-	return s
-}
-
-// ResetStats zeroes all StackTrack counters (between measurement phases).
-// Predictor state is preserved — convergence carries across phases.
-func (st *StackTrack) ResetStats() {
-	c := &st.c
-	c.segments.Reset()
-	c.segmentBlocks.Reset()
-	c.opsFast.Reset()
-	c.opsSlow.Reset()
-	c.scans.Reset()
-	c.scanRestarts.Reset()
-	c.scannedWords.Reset()
-	c.scannedDepth.Reset()
-	c.elidedWords.Reset()
-	c.scanTargets.Reset()
-	c.frees.Reset()
-	c.freed.Reset()
-	c.falseHeld.Reset()
-	c.wastedCycles.Reset()
-	c.segLenHist.Reset()
-	c.opCycles.Reset()
-}
+// Stats returns the instance's live event counters. Callers copy it to
+// read and assign through it to reset. Predictor state is separate, so a
+// reset between measurement phases keeps convergence.
+func (st *StackTrack) Stats() *Stats { return &st.stats }
 
 // AvgSegmentLimit reports the predictor's current average split length
 // across all threads and segments (Figure 4's "average split lengths").
@@ -344,7 +256,7 @@ func (st *StackTrack) Protect(*sched.Thread, int, word.Addr) {}
 // path, plain phases) it enters the free set immediately.
 func (st *StackTrack) Retire(t *sched.Thread, p word.Addr) {
 	ts := st.state(t)
-	st.c.frees.Inc(t.ID)
+	st.stats.Frees++
 	if ts.runner != nil && ts.runner.inTx {
 		ts.runner.retireInTx(p)
 		return

@@ -157,12 +157,12 @@ func runOp(t *testing.T, th *sched.Thread, r prog.Runner, op *prog.Op) {
 func TestRunnerSplitsLongOperation(t *testing.T) {
 	w := newWorld(t, 1, Config{InitialLimit: 10})
 	th := w.ts[0]
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, loopOp(0, 95))
 	if th.Reg(prog.RegResult) != 95 {
 		t.Fatalf("result %d, want 95", th.Reg(prog.RegResult))
 	}
-	st := w.st.ThreadStats(0)
+	st := w.st.Stats()
 	// 96 blocks at limit 10 => at least 9 committed segments.
 	if st.Segments < 9 {
 		t.Fatalf("segments = %d, want >= 9", st.Segments)
@@ -180,7 +180,7 @@ func TestRunnerSplitsLongOperation(t *testing.T) {
 func TestRunnerExposesRegistersAtSplit(t *testing.T) {
 	w := newWorld(t, 1, Config{InitialLimit: 4})
 	th := w.ts[0]
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	op := func() *prog.Op {
 		b := prog.NewBuilder()
 		lbNext := b.Label()
@@ -212,7 +212,7 @@ func TestRunnerAbortRestartsSegment(t *testing.T) {
 	shared := w.al.Static(1)
 	w.al.Alloc(0, 2) // open heap so Static would now fail loudly if misused
 
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	reads := 0
 	op := func() *prog.Op {
 		b := prog.NewBuilder()
@@ -251,7 +251,7 @@ func TestRunnerAbortRestartsSegment(t *testing.T) {
 	if victim.Reg(prog.RegResult) != 10 {
 		t.Fatalf("result %d, want 10 despite abort", victim.Reg(prog.RegResult))
 	}
-	if w.m.Stats(0).ConflictAborts == 0 {
+	if w.m.Stats().ConflictAborts == 0 {
 		t.Fatal("no conflict abort recorded")
 	}
 	// The counter in the frame must have been rolled back and re-run:
@@ -265,7 +265,7 @@ func TestRetireDeferredUntilCommit(t *testing.T) {
 	w := newWorld(t, 1, Config{InitialLimit: 50, MaxFree: 1000})
 	th := w.ts[0]
 	obj := w.al.Alloc(0, 4)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	op := func() *prog.Op {
 		b := prog.NewBuilder()
 		lbEnd := b.Label()
@@ -298,7 +298,7 @@ func TestRetireRolledBackOnAbort(t *testing.T) {
 	victim := w.ts[0]
 	obj := w.al.Alloc(0, 4)
 
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	attempts := 0
 	sabotage := true
 	op := func() *prog.Op {
@@ -454,7 +454,7 @@ func TestScanConsistencyRestart(t *testing.T) {
 	w.m.Poke(victim.SplitsAddr(), w.m.Peek(victim.SplitsAddr())+1)
 	for !s.step(scanner) {
 	}
-	if w.st.ThreadStats(0).ScanRestarts == 0 {
+	if w.st.Stats().ScanRestarts == 0 {
 		t.Fatal("scan did not restart after a concurrent segment commit (Alg. 1 line 27)")
 	}
 	if w.al.IsAllocated(obj) {
@@ -479,7 +479,7 @@ func TestScanSkipsRetryWhenOperationChanged(t *testing.T) {
 	w.m.Poke(victim.OperCntAddr(), w.m.Peek(victim.OperCntAddr())+1)
 	for !s.step(scanner) {
 	}
-	if w.st.ThreadStats(0).ScanRestarts != 0 {
+	if w.st.Stats().ScanRestarts != 0 {
 		t.Fatal("scan retried although the victim's operation completed (Alg. 1 line 25)")
 	}
 }
@@ -509,7 +509,7 @@ func TestScanAllocsIndependentOfVictims(t *testing.T) {
 			if w.st.PendingFrees(scanner) != 1 || !w.al.IsAllocated(obj) {
 				t.Fatalf("hashed=%v victims=%d: held object not deferred", hashed, victims)
 			}
-			if w.st.TotalStats().ElidedWords == 0 {
+			if w.st.Stats().ElidedWords == 0 {
 				t.Fatalf("hashed=%v victims=%d: mask never applied", hashed, victims)
 			}
 			return n
@@ -543,7 +543,7 @@ func TestForcedSlowPathCompletesAndClearsRefs(t *testing.T) {
 	w := newWorld(t, 1, Config{ForceSlowPct: 100})
 	th := w.ts[0]
 	shared := w.al.Static(8)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	op := func() *prog.Op {
 		b := prog.NewBuilder()
 		lbEnd := b.Label()
@@ -569,7 +569,7 @@ func TestForcedSlowPathCompletesAndClearsRefs(t *testing.T) {
 	if w.m.Peek(th.RefsLenAddr()) != 0 {
 		t.Fatal("SLOW_COMMIT did not clear the reference set")
 	}
-	st := w.st.ThreadStats(0)
+	st := w.st.Stats()
 	if st.OpsSlow != 1 || st.OpsFast != 0 {
 		t.Fatalf("ops fast/slow = %d/%d, want 0/1", st.OpsFast, st.OpsSlow)
 	}
@@ -606,7 +606,7 @@ func TestFallbackToSlowPathOnPersistentAborts(t *testing.T) {
 	victim, attacker := w.ts[0], w.ts[1]
 	shared := w.al.Static(1)
 
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	done := false
 	op := func() *prog.Op {
 		b := prog.NewBuilder()
@@ -639,7 +639,7 @@ func TestFallbackToSlowPathOnPersistentAborts(t *testing.T) {
 	if !done {
 		t.Fatal("operation did not complete")
 	}
-	if w.st.ThreadStats(0).OpsSlow != 1 {
+	if w.st.Stats().OpsSlow != 1 {
 		t.Fatal("operation should have completed on the slow path")
 	}
 }
@@ -647,11 +647,11 @@ func TestFallbackToSlowPathOnPersistentAborts(t *testing.T) {
 func TestOpIDRandomSlowFraction(t *testing.T) {
 	w := newWorld(t, 1, Config{ForceSlowPct: 50})
 	th := w.ts[0]
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	for i := 0; i < 200; i++ {
 		runOp(t, th, r, loopOp(0, 3))
 	}
-	st := w.st.ThreadStats(0)
+	st := w.st.Stats()
 	if st.OpsSlow == 0 || st.OpsFast == 0 {
 		t.Fatalf("50%% slow fraction produced fast=%d slow=%d", st.OpsFast, st.OpsSlow)
 	}
@@ -664,7 +664,7 @@ func TestOpIDRandomSlowFraction(t *testing.T) {
 func TestActivityLifecycle(t *testing.T) {
 	w := newWorld(t, 1, Config{})
 	th := w.ts[0]
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	op := loopOp(4, 3)
 	r.Start(th, op)
 	if got := w.m.Peek(th.ActivityAddr()); got != 5 {
@@ -683,7 +683,7 @@ func TestActivityLifecycle(t *testing.T) {
 func TestCostsCharged(t *testing.T) {
 	w := newWorld(t, 1, Config{InitialLimit: 5})
 	th := w.ts[0]
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	before := th.VTime()
 	runOp(t, th, r, loopOp(0, 30))
 	if th.VTime() <= before+30*cost.Block {
@@ -734,12 +734,12 @@ func TestUnsupportedBlockWithScanPending(t *testing.T) {
 	b.Bind(lbEnd)
 	b.Add(func(tt *sched.Thread, f sched.Frame) int { return prog.Done })
 	op := b.Build(0, "test.UnsupRetire", 1)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, op)
 	if w.al.IsAllocated(objs[0]) || w.al.IsAllocated(objs[1]) {
 		t.Fatal("unsupported-path retires not reclaimed")
 	}
-	if w.st.ThreadStats(0).Scans == 0 {
+	if w.st.Stats().Scans == 0 {
 		t.Fatal("scan never ran")
 	}
 }
@@ -755,12 +755,12 @@ func TestScanAtOpEndOnSlowPath(t *testing.T) {
 		return prog.Done
 	})
 	op := b.Build(0, "test.SlowRetire", 1)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, op)
 	if w.al.IsAllocated(objs[0]) || w.al.IsAllocated(objs[1]) {
 		t.Fatal("slow-path retires not reclaimed")
 	}
-	if w.st.ThreadStats(0).OpsSlow != 1 {
+	if w.st.Stats().OpsSlow != 1 {
 		t.Fatal("op should have run slow")
 	}
 }
@@ -772,7 +772,7 @@ func TestProtectIsNoOpForStackTrack(t *testing.T) {
 
 func TestRunnerBusyStates(t *testing.T) {
 	w := newWorld(t, 1, Config{})
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	if r.Busy() {
 		t.Fatal("fresh runner busy")
 	}

@@ -68,12 +68,12 @@ func (s *hashedScanState) finish(t *sched.Thread) {
 	var freed uint64
 	for _, p := range s.ptrs {
 		if _, live := s.held[p]; live {
-			s.st.c.falseHeld.Inc(t.ID)
+			s.st.stats.FalseHeld++
 			ts.freeSet = append(ts.freeSet, p)
 			continue
 		}
 		t.FreeNow(p)
-		s.st.c.freed.Inc(t.ID)
+		s.st.stats.Freed++
 		freed++
 	}
 	t.Trace(sched.TraceScanEnd, freed)

@@ -89,7 +89,7 @@ func TestHashedScanConsistencyRestart(t *testing.T) {
 	w.m.Poke(victim.SplitsAddr(), w.m.Peek(victim.SplitsAddr())+1)
 	for !s.step(scanner) {
 	}
-	if w.st.ThreadStats(0).ScanRestarts == 0 {
+	if w.st.Stats().ScanRestarts == 0 {
 		t.Fatal("hashed scan skipped the consistency retry protocol")
 	}
 }
@@ -133,13 +133,13 @@ func TestHistBuckets(t *testing.T) {
 func TestHistogramAccumulates(t *testing.T) {
 	w := newWorld(t, 1, Config{InitialLimit: 10})
 	th := w.ts[0]
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, loopOp(0, 35))
 	var total uint64
-	for _, n := range w.st.TotalStats().SegLenHist {
+	for _, n := range w.st.Stats().SegLenHist {
 		total += n
 	}
-	if total != w.st.TotalStats().Segments {
-		t.Fatalf("histogram total %d != segments %d", total, w.st.TotalStats().Segments)
+	if total != w.st.Stats().Segments {
+		t.Fatalf("histogram total %d != segments %d", total, w.st.Stats().Segments)
 	}
 }

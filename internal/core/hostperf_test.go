@@ -39,7 +39,7 @@ func BenchmarkScan(b *testing.B) {
 				w.st.Retire(scanner, obj)
 			}
 			w.st.scanAndFreeSync(scanner) // hand the scratch buffers back
-			before := w.st.TotalStats().ScannedWords
+			before := w.st.Stats().ScannedWords
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -49,7 +49,7 @@ func BenchmarkScan(b *testing.B) {
 			if w.st.PendingFrees(scanner) != held {
 				b.Fatalf("%d objects pending after the scans, want all %d held", w.st.PendingFrees(scanner), held)
 			}
-			words := w.st.TotalStats().ScannedWords - before
+			words := w.st.Stats().ScannedWords - before
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
 		})
 	}

@@ -18,7 +18,7 @@ func TestRunnerSurvivesRandomDoomProperty(t *testing.T) {
 	run := func(seed uint64) bool {
 		w := newWorld(t, 1, Config{InitialLimit: 8, Streak: 2, SlowFailThreshold: 3})
 		th := w.ts[0]
-		r := NewRunner(w.st)
+		r := NewRunner(w.st, nil)
 		rnd := rng.New(seed)
 		reasons := []mem.AbortReason{mem.Conflict, mem.Capacity, mem.Preempt}
 
@@ -55,10 +55,10 @@ func TestRunnerSurvivesRandomDoomProperty(t *testing.T) {
 		}
 		// Histogram total matches committed segments.
 		var hist uint64
-		for _, n := range w.st.TotalStats().SegLenHist {
+		for _, n := range w.st.Stats().SegLenHist {
 			hist += n
 		}
-		if hist != w.st.TotalStats().Segments {
+		if hist != w.st.Stats().Segments {
 			t.Log("histogram diverged from segment count")
 			return false
 		}
@@ -87,7 +87,7 @@ func TestScanFalsePositive(t *testing.T) {
 	if !w.al.IsAllocated(obj) {
 		t.Fatal("false positive should conservatively defer the free")
 	}
-	if w.st.ThreadStats(0).FalseHeld == 0 {
+	if w.st.Stats().FalseHeld == 0 {
 		t.Fatal("deferred free not counted")
 	}
 	// The value disappears; the free proceeds on the next scan.
@@ -103,7 +103,7 @@ func TestScanFalsePositive(t *testing.T) {
 func TestOpIDsIndependentPredictors(t *testing.T) {
 	w := newWorld(t, 1, Config{InitialLimit: 10, Streak: 1})
 	th := w.ts[0]
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 
 	// Run op 0 with constant sabotage so its limits shrink.
 	sabotage := true

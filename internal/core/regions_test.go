@@ -64,7 +64,7 @@ func TestAtomicRegionNeverSplit(t *testing.T) {
 	th := w.ts[0]
 	splitSeen := false
 	op := regionOp(40, &splitSeen)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, op)
 	if th.Reg(prog.RegResult) != 40 {
 		t.Fatalf("result %d, want 40", th.Reg(prog.RegResult))
@@ -74,8 +74,8 @@ func TestAtomicRegionNeverSplit(t *testing.T) {
 	}
 	// There must still be multiple segments overall (pre-region commit,
 	// the region itself, the tail).
-	if w.st.ThreadStats(0).Segments < 2 {
-		t.Fatalf("segments = %d, want >= 2 (region boundary commits)", w.st.ThreadStats(0).Segments)
+	if w.st.Stats().Segments < 2 {
+		t.Fatalf("segments = %d, want >= 2 (region boundary commits)", w.st.Stats().Segments)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestAtomicRegionExposesAtEnd(t *testing.T) {
 		return prog.Done
 	})
 	op := b.Build(0, "test.RegionExpose", 1)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, op)
 	if th.Reg(prog.RegResult) != 1 {
 		t.Fatal("registers not exposed at the end of the transactional region")
@@ -141,7 +141,7 @@ func TestUnsupportedBlockRunsOutsideTx(t *testing.T) {
 		return prog.Done
 	})
 	op := b.Build(0, "test.Unsupported", 1)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, op)
 	switch th.Reg(prog.RegResult) {
 	case 999:
@@ -151,7 +151,7 @@ func TestUnsupportedBlockRunsOutsideTx(t *testing.T) {
 	case 997:
 		t.Fatal("no fresh segment after the unsupported block")
 	}
-	if w.st.ThreadStats(0).Segments < 2 {
+	if w.st.Stats().Segments < 2 {
 		t.Fatal("expected a commit before the unsupported block")
 	}
 }
@@ -193,7 +193,7 @@ func TestUnsupportedOnSlowPath(t *testing.T) {
 		return prog.Done
 	})
 	op := b.Build(0, "test.SlowUnsupported", 1)
-	r := NewRunner(w.st)
+	r := NewRunner(w.st, nil)
 	runOp(t, th, r, op)
 	if th.Reg(prog.RegResult) != 5 {
 		t.Fatal("operation did not complete")

@@ -35,7 +35,8 @@ const (
 // Runner executes operations for one thread under StackTrack. It
 // implements prog.Runner.
 type Runner struct {
-	st *StackTrack
+	st   *StackTrack
+	hist *metrics.Histogram // per-operation latency; nil records none
 
 	op    *prog.Op
 	pc    int
@@ -68,8 +69,13 @@ type Runner struct {
 	segStartV cost.Cycles
 }
 
-// NewRunner creates a StackTrack runner bound to framework st.
-func NewRunner(st *StackTrack) *Runner { return &Runner{st: st} }
+// NewRunner creates a StackTrack runner bound to framework st. hist, when
+// non-nil, receives each completed operation's virtual latency in cycles
+// (the bench harness shares one "ops.op_cycles" histogram across runners
+// and schemes).
+func NewRunner(st *StackTrack, hist *metrics.Histogram) *Runner {
+	return &Runner{st: st, hist: hist}
+}
 
 // Busy implements prog.Runner.
 func (r *Runner) Busy() bool { return r.state != stIdle }
@@ -360,10 +366,10 @@ func (r *Runner) afterCommit(t *sched.Thread) {
 	t.ClearTxAllocs()
 
 	ts.onSegCommit(r.st.cfg, r.op.ID, r.splitIdx)
-	c := &r.st.c
-	c.segments.Inc(t.ID)
-	c.segmentBlocks.Add(t.ID, uint64(r.steps))
-	c.segLenHist.Observe(t.ID, uint64(r.steps))
+	c := &r.st.stats
+	c.Segments++
+	c.SegmentBlocks += uint64(r.steps)
+	c.SegLenHist[metrics.BucketOf(uint64(r.steps), len(c.SegLenHist))]++
 	t.Trace(sched.TraceSegCommit, uint64(r.steps))
 	r.splitIdx++
 	r.segFails = 0
@@ -383,7 +389,7 @@ func (r *Runner) handleAbort(t *sched.Thread, reason mem.AbortReason) {
 	v0 := t.VTime()
 	if v0 > r.segStartV {
 		// Everything since SPLIT_START was thrown away by the abort.
-		r.st.c.wastedCycles.Add(t.ID, uint64(v0-r.segStartV))
+		r.st.stats.WastedCycles += uint64(v0 - r.segStartV)
 	}
 	t.M.FinishAbort(t.Tx)
 	t.Charge(cost.TxAbort)
@@ -463,9 +469,9 @@ func (r *Runner) beginScan(t *sched.Thread, resume runnerState) {
 
 func (r *Runner) finishOp(t *sched.Thread) bool {
 	if r.usedSlow {
-		r.st.c.opsSlow.Inc(t.ID)
+		r.st.stats.OpsSlow++
 	} else {
-		r.st.c.opsFast.Inc(t.ID)
+		r.st.stats.OpsFast++
 	}
 	v0 := t.VTime()
 	if t.Mode == sched.ModeSlow {
@@ -477,7 +483,9 @@ func (r *Runner) finishOp(t *sched.Thread) bool {
 	t.PopFrame(r.frame)
 	r.st.EndOp(t)
 	t.Trace(sched.TraceOpEnd, t.Reg(prog.RegResult))
-	r.st.c.opCycles.Observe(t.ID, uint64(t.VTime()-r.opStartV))
+	if r.hist != nil {
+		r.hist.Observe(uint64(t.VTime() - r.opStartV))
+	}
 	r.op = nil
 	r.state = stIdle
 	return true

@@ -99,7 +99,7 @@ func (st *StackTrack) newWalk(t *sched.Thread) victimWalk {
 	}
 	ts.scanPtrs = nil
 	ts.freeSet = ts.freeSet[:0]
-	st.c.scans.Inc(t.ID)
+	st.stats.Scans++
 	t.Trace(sched.TraceScanStart, uint64(len(w.ptrs)))
 	return w
 }
@@ -133,7 +133,7 @@ func (w *victimWalk) inspect(t *sched.Thread, sink wordSink) walkResult {
 		return walkDone
 	}
 	v := w.victims[w.ti]
-	c := &w.st.c
+	c := &w.st.stats
 	hit := false
 
 	switch w.phase {
@@ -148,20 +148,20 @@ func (w *victimWalk) inspect(t *sched.Thread, sink wordSink) walkResult {
 		w.operPre = t.LoadPlain(v.OperCntAddr())
 		w.sampleFrame(t, v)
 		w.setMask(act)
-		c.scanTargets.Inc(t.ID)
+		c.ScanTargets++
 
 	case phaseStack:
 		end := min(w.pos+w.st.cfg.ScanChunkWords, w.sp)
 		loaded := 0
 		for ; w.pos < end; w.pos++ {
 			if w.mask != nil && !maskTracksStack(w.mask, w.fbase, w.pos) {
-				c.elidedWords.Inc(t.ID)
+				c.ElidedWords++
 				continue
 			}
 			x := t.LoadPlain(v.StackBase + word.Addr(w.pos))
 			loaded++
-			c.scannedWords.Inc(t.ID)
-			c.scannedDepth.Inc(t.ID)
+			c.ScannedWords++
+			c.ScannedDepth++
 			if sink.visit(x) {
 				hit = true
 				break
@@ -182,12 +182,12 @@ func (w *victimWalk) inspect(t *sched.Thread, sink wordSink) walkResult {
 		loaded := 0
 		for i := 0; i < sched.NumRegs; i++ {
 			if w.mask != nil && !maskTracksReg(w.mask, i) {
-				c.elidedWords.Inc(t.ID)
+				c.ElidedWords++
 				continue
 			}
 			x := t.LoadPlain(v.RegsBase + word.Addr(i))
 			loaded++
-			c.scannedWords.Inc(t.ID)
+			c.ScannedWords++
 			if sink.visit(x) {
 				hit = true
 				break
@@ -213,7 +213,7 @@ func (w *victimWalk) inspect(t *sched.Thread, sink wordSink) walkResult {
 		end := min(w.pos+w.st.cfg.ScanChunkWords, w.refsLen)
 		for ; w.pos < end; w.pos++ {
 			x := t.LoadPlain(v.RefsBase + word.Addr(w.pos))
-			c.scannedWords.Inc(t.ID)
+			c.ScannedWords++
 			if sink.visit(x) {
 				hit = true
 				break
@@ -232,7 +232,7 @@ func (w *victimWalk) inspect(t *sched.Thread, sink wordSink) walkResult {
 			// stack may have changed under us — restart the inspection of
 			// this thread (Alg. 1 line 27). Whatever the sink took from the
 			// torn inspection stays: it can only defer a free.
-			c.scanRestarts.Inc(t.ID)
+			c.ScanRestarts++
 			w.sampleFrame(t, v)
 			// Same operation invocation (operPre == operPost), but the
 			// frame geometry may have changed with sp.
@@ -318,7 +318,7 @@ func (s *scanState) step(t *sched.Thread) bool {
 func (s *scanState) markFound(t *sched.Thread) {
 	s.found[s.pi] = true
 	ts := s.st.state(t)
-	s.st.c.falseHeld.Inc(t.ID)
+	s.st.stats.FalseHeld++
 	ts.freeSet = append(ts.freeSet, s.ptrs[s.pi])
 	s.pi++
 	s.rewind()
@@ -328,7 +328,7 @@ func (s *scanState) markFound(t *sched.Thread) {
 // without a hit: the object is provably unreferenced and is freed.
 func (s *scanState) finishPtr(t *sched.Thread) {
 	t.FreeNow(s.ptrs[s.pi])
-	s.st.c.freed.Inc(t.ID)
+	s.st.stats.Freed++
 	s.freed++
 	s.pi++
 	s.rewind()

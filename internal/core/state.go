@@ -1,8 +1,8 @@
 // Snapshot-state support (internal/snap): StackTrack's mutable state is
-// the global slow-path counter, each thread's free set and split-predictor
-// tables, and each thread's runner — program counter, frame, segment
-// rollback snapshot, and (when one is in flight) the resumable
-// SCAN_AND_FREE state machine.
+// the global slow-path counter, the event counters, each thread's free set
+// and split-predictor tables, and each thread's runner — program counter,
+// frame, segment rollback snapshot, and (when one is in flight) the
+// resumable SCAN_AND_FREE state machine.
 //
 // Restore runs against a freshly built instance: the scheduler's thread
 // state (registers, stack pointer, mode) is restored by sched, the
@@ -90,6 +90,7 @@ type ThreadState struct {
 type State struct {
 	SlowCount int
 	Threads   []ThreadState
+	Stats     Stats
 }
 
 func copyTable(t [][]int32) [][]int32 {
@@ -210,7 +211,7 @@ func (r *Runner) RestoreState(rs *RunnerState, t *sched.Thread, opByID func(id i
 
 // SaveState copies out the framework's complete mutable state.
 func (st *StackTrack) SaveState() *State {
-	s := &State{SlowCount: st.slowCount}
+	s := &State{SlowCount: st.slowCount, Stats: st.stats}
 	for tid, ts := range st.threads {
 		if ts == nil {
 			continue
@@ -238,6 +239,7 @@ func (st *StackTrack) SaveState() *State {
 // here for threads that were mid-slow-path.
 func (st *StackTrack) RestoreState(s *State, runnerOf func(tid int) *Runner, opByID func(id int) *prog.Op) {
 	st.slowCount = s.SlowCount
+	st.stats = s.Stats
 	for i := range s.Threads {
 		cs := &s.Threads[i]
 		ts := st.threads[cs.ID]

@@ -18,3 +18,12 @@ func (h *HashTable) Chains(m *mem.Memory, limit int) [][]uint64 {
 	}
 	return out
 }
+
+// WalkLevel returns the unmarked keys at the given level, outside the
+// simulation.
+func (s *SkipList) WalkLevel(m *mem.Memory, level, limit int) []uint64 {
+	var keys []uint64
+	walkUnmarked(m, nextAddr(s.head, level), skOffNxt+word.Addr(level), skOffKey, limit,
+		func(k uint64) { keys = append(keys, k) })
+	return keys
+}

@@ -601,16 +601,8 @@ func (s *SkipList) Seed(a *alloc.Allocator, m *mem.Memory, keys []uint64, val ui
 	}
 }
 
-// WalkLevel returns the unmarked keys at the given level, outside the
+// LevelLen counts the unmarked keys at the given level, outside the
 // simulation.
-func (s *SkipList) WalkLevel(m *mem.Memory, level, limit int) []uint64 {
-	var keys []uint64
-	walkUnmarked(m, nextAddr(s.head, level), skOffNxt+word.Addr(level), skOffKey, limit,
-		func(k uint64) { keys = append(keys, k) })
-	return keys
-}
-
-// LevelLen is len(s.WalkLevel(...)) without building the slice.
 func (s *SkipList) LevelLen(m *mem.Memory, level, limit int) int {
 	n := 0
 	walkUnmarked(m, nextAddr(s.head, level), skOffNxt+word.Addr(level), skOffKey, limit,

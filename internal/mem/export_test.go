@@ -10,8 +10,8 @@ import (
 // value and whether the access missed.
 func (m *Memory) AddPlain(tid int, a word.Addr, delta uint64) (uint64, bool) {
 	m.check(a)
-	m.c.plainReads.Inc(tid)
-	m.c.plainWrites.Inc(tid)
+	m.stats.PlainReads++
+	m.stats.PlainWrites++
 	l := word.Line(a)
 	if m.liveTx > 0 {
 		m.doomLineConflicts(tid, l)

@@ -17,8 +17,8 @@ import (
 // write on the fast path performs zero Go allocations.
 func TestPlainFastPathZeroAlloc(t *testing.T) {
 	m := New(Config{Words: 1 << 14})
-	// Touch the region once so the high-watermark and counter lanes are
-	// established; steady state begins after that.
+	// Touch the region once so the high-watermark is established; steady
+	// state begins after that.
 	for a := word.Addr(0); a < 1<<12; a++ {
 		m.WritePlain(0, a, uint64(a))
 		m.ReadPlain(1, a)

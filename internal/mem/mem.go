@@ -41,7 +41,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"stacktrack/internal/metrics"
 	"stacktrack/internal/topo"
 	"stacktrack/internal/word"
 )
@@ -72,10 +71,6 @@ type Config struct {
 	// Pressure supplies dynamic sibling-activity information; nil means
 	// no hyperthread pressure.
 	Pressure Pressure
-	// Metrics is the registry this memory (and the layers built on top
-	// of it, which obtain it via Memory.Metrics) records into. nil
-	// creates a private registry, so standalone uses stay unchanged.
-	Metrics *metrics.Registry
 }
 
 // Memory is the simulated memory system. All methods take the simulated
@@ -117,9 +112,8 @@ type Memory struct {
 	topology topo.Topology
 	pressure Pressure
 
-	reg *metrics.Registry
-	c   memCounters
-	obs Observer
+	stats Stats
+	obs   Observer
 
 	// fastPlain caches "no live transaction, no observer": the single
 	// branch the plain-access fast path tests. refreshFast recomputes it
@@ -145,22 +139,15 @@ func New(cfg Config) *Memory {
 	if cfg.Pressure == nil {
 		cfg.Pressure = noPressure{}
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	if m := takePooled(cfg.Words); m != nil {
 		m.topology = cfg.Topology
 		m.pressure = cfg.Pressure
-		m.reg = cfg.Metrics
-		m.c = newMemCounters(cfg.Metrics)
 		m.refreshFast()
 		return m
 	}
 	m := &Memory{
 		topology: cfg.Topology,
 		pressure: cfg.Pressure,
-		reg:      cfg.Metrics,
-		c:        newMemCounters(cfg.Metrics),
 	}
 	m.newBacking(cfg.Words, (cfg.Words+word.LineWords-1)/word.LineWords)
 	m.refreshFast()
@@ -249,6 +236,7 @@ func (m *Memory) Release() {
 		tx.order = tx.order[:0]
 	}
 	m.liveTx = 0
+	m.stats = Stats{}
 	m.obs = nil
 	m.pressure = noPressure{}
 	m.refreshFast()
@@ -260,12 +248,6 @@ func (m *Memory) Release() {
 	memPool.mu.Unlock()
 }
 
-// Metrics returns the registry this memory records into. The other
-// layers (alloc, sched, core) fetch it from here so one registry spans
-// a whole simulation instance without threading it through every
-// constructor.
-func (m *Memory) Metrics() *metrics.Registry { return m.reg }
-
 // readTouch updates the coherence state for a read by tid and reports
 // whether it missed (line not in tid's cache).
 func (m *Memory) readTouch(tid int, l uint64) bool {
@@ -274,7 +256,7 @@ func (m *Memory) readTouch(tid int, l uint64) bool {
 		return false
 	}
 	m.sharers[l] |= bit
-	m.c.coherenceMisses.Inc(tid)
+	m.stats.CoherenceMisses++
 	return true
 }
 
@@ -286,7 +268,7 @@ func (m *Memory) writeTouch(tid int, l uint64) bool {
 	m.lastW[l] = int32(tid + 1)
 	m.sharers[l] = bit
 	if !hit {
-		m.c.coherenceMisses.Inc(tid)
+		m.stats.CoherenceMisses++
 	}
 	return !hit
 }
@@ -303,18 +285,10 @@ func (m *Memory) SetPressure(p Pressure) {
 // Size returns the memory size in words.
 func (m *Memory) Size() int { return len(m.words) }
 
-// Stats returns a snapshot of thread tid's statistics, assembled from
-// the underlying metric lanes. The result is a copy: callers read it,
-// they do not mutate memory state through it.
-func (m *Memory) Stats(tid int) *Stats { return m.c.thread(tid) }
-
-// TotalStats sums statistics across all threads.
-func (m *Memory) TotalStats() Stats { return m.c.total() }
-
-// ResetStats zeroes the memory layer's statistics (used between
-// measurement phases). Only this layer's metrics are touched; other
-// layers sharing the registry reset their own.
-func (m *Memory) ResetStats() { m.c.reset() }
+// Stats returns the memory's live event counters. Callers copy it to
+// read and assign through it to reset (the harness zeroes it when the
+// measurement window opens).
+func (m *Memory) Stats() *Stats { return &m.stats }
 
 func (m *Memory) check(a word.Addr) {
 	if uint64(a) >= uint64(len(m.words)) {
@@ -335,7 +309,7 @@ func (m *Memory) ReadPlain(tid int, a word.Addr) (uint64, bool) {
 	// mark (bounds and watermark both already established). Identical
 	// simulated effects to the general path below, minus dead branches.
 	if m.fastPlain && uint64(a) < m.hi {
-		m.c.plainReads.Inc(tid)
+		m.stats.PlainReads++
 		return m.words[a], m.readTouch(tid, word.Line(a))
 	}
 	return m.readPlainSlow(tid, a)
@@ -343,7 +317,7 @@ func (m *Memory) ReadPlain(tid int, a word.Addr) (uint64, bool) {
 
 func (m *Memory) readPlainSlow(tid int, a word.Addr) (uint64, bool) {
 	m.check(a)
-	m.c.plainReads.Inc(tid)
+	m.stats.PlainReads++
 	l := word.Line(a)
 	if m.liveTx > 0 {
 		if w := m.lineWriter[l]; w != 0 && int(w-1) != tid {
@@ -363,7 +337,7 @@ func (m *Memory) readPlainSlow(tid int, a word.Addr) (uint64, bool) {
 func (m *Memory) WritePlain(tid int, a word.Addr, v uint64) bool {
 	// Fast path: see ReadPlain.
 	if m.fastPlain && uint64(a) < m.hi {
-		m.c.plainWrites.Inc(tid)
+		m.stats.PlainWrites++
 		m.words[a] = v
 		return m.writeTouch(tid, word.Line(a))
 	}
@@ -372,7 +346,7 @@ func (m *Memory) WritePlain(tid int, a word.Addr, v uint64) bool {
 
 func (m *Memory) writePlainSlow(tid int, a word.Addr, v uint64) bool {
 	m.check(a)
-	m.c.plainWrites.Inc(tid)
+	m.stats.PlainWrites++
 	l := word.Line(a)
 	if m.liveTx > 0 {
 		m.doomLineConflicts(tid, l)
@@ -391,8 +365,8 @@ func (m *Memory) writePlainSlow(tid int, a word.Addr, v uint64) bool {
 // line is acquired for write either way).
 func (m *Memory) CASPlain(tid int, a word.Addr, old, new uint64) (ok, miss bool) {
 	m.check(a)
-	m.c.plainReads.Inc(tid)
-	m.c.plainWrites.Inc(tid)
+	m.stats.PlainReads++
+	m.stats.PlainWrites++
 	l := word.Line(a)
 	if m.liveTx > 0 {
 		m.doomLineConflicts(tid, l)

@@ -89,7 +89,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	if m.Peek(300) != 5 {
 		t.Fatal("aborted write became visible")
 	}
-	if m.Stats(0).ExplicitAborts != 1 {
+	if m.Stats().ExplicitAborts != 1 {
 		t.Fatal("explicit abort not counted")
 	}
 }
@@ -107,7 +107,7 @@ func TestStrongIsolationPlainReadDoomsWriter(t *testing.T) {
 		t.Fatal("doomed transaction committed")
 	}
 	m.FinishAbort(tx)
-	if m.Stats(0).ConflictAborts != 1 {
+	if m.Stats().ConflictAborts != 1 {
 		t.Fatal("conflict abort not counted")
 	}
 }
@@ -236,7 +236,7 @@ func TestReadCapacityAbort(t *testing.T) {
 	if r := m.FinishAbort(tx); r != Capacity {
 		t.Fatal(r)
 	}
-	if m.Stats(0).CapacityAborts != 1 {
+	if m.Stats().CapacityAborts != 1 {
 		t.Fatal("capacity abort not counted")
 	}
 }
@@ -297,7 +297,7 @@ func TestPreemptAbort(t *testing.T) {
 	if r := m.FinishAbort(tx); r != Preempt {
 		t.Fatal(r)
 	}
-	if m.Stats(0).PreemptAborts != 1 {
+	if m.Stats().PreemptAborts != 1 {
 		t.Fatal("preempt abort not counted")
 	}
 }
@@ -354,13 +354,15 @@ func TestStatsTotal(t *testing.T) {
 	m := newMem(t)
 	m.ReadPlain(0, 0)
 	m.ReadPlain(1, 8)
-	total := m.TotalStats()
-	if total.PlainReads != 2 {
-		t.Fatalf("total plain reads %d, want 2", total.PlainReads)
+	if got := m.Stats().PlainReads; got != 2 {
+		t.Fatalf("total plain reads %d, want 2", got)
 	}
-	m.ResetStats()
-	if m.TotalStats().PlainReads != 0 {
-		t.Fatal("ResetStats did not clear")
+	// A pooled Memory starts its next run with zeroed counters.
+	m.Release()
+	m = New(Config{Words: m.Size()})
+	defer m.Release()
+	if got := *m.Stats(); got != (Stats{}) {
+		t.Fatalf("pooled memory starts with stats %+v", got)
 	}
 }
 
@@ -387,7 +389,7 @@ func TestReaderBitsClearedOnCommit(t *testing.T) {
 	m.Commit(tx)
 	// A plain write by another thread must not doom anything now.
 	m.WritePlain(1, 2000, 5)
-	if m.TotalStats().ConflictAborts != 0 {
+	if m.Stats().ConflictAborts != 0 {
 		t.Fatal("stale reader bit caused a doom after commit")
 	}
 }

@@ -1,9 +1,9 @@
 // Snapshot-state support (internal/snap): State captures every mutable
 // word of the memory system — committed memory, the transactional line
 // tables, the coherence model, and each thread's in-flight transaction
-// (including its buffered, not-yet-visible writes in program order).
-// Configuration-derived fields (topology, pressure, metric handles) are
-// not part of the state: a restore target is built from the same Config
+// (including its buffered, not-yet-visible writes in program order), and
+// the event counters. Configuration-derived fields (topology, pressure)
+// are not part of the state: a restore target is built from the same Config
 // and already has them.
 
 package mem
@@ -52,6 +52,8 @@ type State struct {
 	// transaction; idle descriptors are included so descriptor reuse
 	// stays allocation-free after a restore.
 	Txs []TxDescState
+
+	Stats Stats
 }
 
 // SaveState copies out the complete mutable state.
@@ -65,6 +67,7 @@ func (m *Memory) SaveState() *State {
 		LineWriter:  append([]int32(nil), m.lineWriter[:lines]...),
 		Sharers:     append([]uint64(nil), m.sharers[:lines]...),
 		LastW:       append([]int32(nil), m.lastW[:lines]...),
+		Stats:       m.stats,
 	}
 	for tid := 0; tid < MaxThreads; tid++ {
 		tx := m.txs[tid]
@@ -115,6 +118,7 @@ func (m *Memory) RestoreState(s *State) {
 		m.lastW[l] = 0
 	}
 	m.hi = uint64(len(s.Words))
+	m.stats = s.Stats
 
 	m.txs = [MaxThreads]*Tx{}
 	m.liveTx = 0

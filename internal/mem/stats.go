@@ -1,14 +1,9 @@
 package mem
 
-import "stacktrack/internal/metrics"
-
-// Stats aggregates transactional-memory event counts for one thread. The
-// benchmark harness sums them across threads to regenerate the paper's
-// Figure 3 (abort breakdown) and Figure 4 (split behaviour).
-//
-// Since the metrics subsystem landed, Stats is a read-only view
-// assembled from the registry's counter lanes (see memCounters); the
-// hot path increments typed metric handles, not struct fields.
+// Stats counts transactional-memory events across all threads. The
+// benchmark harness reads them to regenerate the paper's Figure 3 (abort
+// breakdown) and Figure 4 (split behaviour). The hot path increments the
+// fields of the Memory's own Stats directly.
 type Stats struct {
 	TxBegins         uint64 // transactions started (including retries)
 	Commits          uint64 // transactions committed
@@ -29,117 +24,4 @@ type Stats struct {
 // Aborts returns the total number of aborts of any kind.
 func (s *Stats) Aborts() uint64 {
 	return s.ConflictAborts + s.CapacityAborts + s.PreemptAborts + s.ExplicitAborts
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o *Stats) {
-	s.TxBegins += o.TxBegins
-	s.Commits += o.Commits
-	s.ConflictAborts += o.ConflictAborts
-	s.CapacityAborts += o.CapacityAborts
-	s.PreemptAborts += o.PreemptAborts
-	s.ExplicitAborts += o.ExplicitAborts
-	s.PlainReads += o.PlainReads
-	s.PlainWrites += o.PlainWrites
-	s.TxReads += o.TxReads
-	s.TxWrites += o.TxWrites
-	s.LinesRead += o.LinesRead
-	s.LinesWritten += o.LinesWritten
-	s.CommittedActions += o.CommittedActions
-	s.CoherenceMisses += o.CoherenceMisses
-}
-
-// memCounters holds the memory layer's metric handles, resolved once at
-// construction so recording is a plain lane increment.
-type memCounters struct {
-	txBegins         *metrics.Counter
-	commits          *metrics.Counter
-	abortsConflict   *metrics.Counter
-	abortsCapacity   *metrics.Counter
-	abortsPreempt    *metrics.Counter
-	abortsExplicit   *metrics.Counter
-	plainReads       *metrics.Counter
-	plainWrites      *metrics.Counter
-	txReads          *metrics.Counter
-	txWrites         *metrics.Counter
-	linesRead        *metrics.Counter
-	linesWritten     *metrics.Counter
-	committedActions *metrics.Counter
-	coherenceMisses  *metrics.Counter
-}
-
-func newMemCounters(r *metrics.Registry) memCounters {
-	return memCounters{
-		txBegins:         r.Counter("mem.tx_begins"),
-		commits:          r.Counter("mem.commits"),
-		abortsConflict:   r.Counter("mem.aborts_conflict"),
-		abortsCapacity:   r.Counter("mem.aborts_capacity"),
-		abortsPreempt:    r.Counter("mem.aborts_preempt"),
-		abortsExplicit:   r.Counter("mem.aborts_explicit"),
-		plainReads:       r.Counter("mem.plain_reads"),
-		plainWrites:      r.Counter("mem.plain_writes"),
-		txReads:          r.Counter("mem.tx_reads"),
-		txWrites:         r.Counter("mem.tx_writes"),
-		linesRead:        r.Counter("mem.lines_read"),
-		linesWritten:     r.Counter("mem.lines_written"),
-		committedActions: r.Counter("mem.committed_actions"),
-		coherenceMisses:  r.Counter("mem.coherence_misses"),
-	}
-}
-
-// thread assembles one thread's Stats view from the counter lanes.
-func (c *memCounters) thread(tid int) *Stats {
-	return &Stats{
-		TxBegins:         c.txBegins.Lane(tid),
-		Commits:          c.commits.Lane(tid),
-		ConflictAborts:   c.abortsConflict.Lane(tid),
-		CapacityAborts:   c.abortsCapacity.Lane(tid),
-		PreemptAborts:    c.abortsPreempt.Lane(tid),
-		ExplicitAborts:   c.abortsExplicit.Lane(tid),
-		PlainReads:       c.plainReads.Lane(tid),
-		PlainWrites:      c.plainWrites.Lane(tid),
-		TxReads:          c.txReads.Lane(tid),
-		TxWrites:         c.txWrites.Lane(tid),
-		LinesRead:        c.linesRead.Lane(tid),
-		LinesWritten:     c.linesWritten.Lane(tid),
-		CommittedActions: c.committedActions.Lane(tid),
-		CoherenceMisses:  c.coherenceMisses.Lane(tid),
-	}
-}
-
-// total merges all lanes into an aggregate Stats view.
-func (c *memCounters) total() Stats {
-	return Stats{
-		TxBegins:         c.txBegins.Value(),
-		Commits:          c.commits.Value(),
-		ConflictAborts:   c.abortsConflict.Value(),
-		CapacityAborts:   c.abortsCapacity.Value(),
-		PreemptAborts:    c.abortsPreempt.Value(),
-		ExplicitAborts:   c.abortsExplicit.Value(),
-		PlainReads:       c.plainReads.Value(),
-		PlainWrites:      c.plainWrites.Value(),
-		TxReads:          c.txReads.Value(),
-		TxWrites:         c.txWrites.Value(),
-		LinesRead:        c.linesRead.Value(),
-		LinesWritten:     c.linesWritten.Value(),
-		CommittedActions: c.committedActions.Value(),
-		CoherenceMisses:  c.coherenceMisses.Value(),
-	}
-}
-
-func (c *memCounters) reset() {
-	c.txBegins.Reset()
-	c.commits.Reset()
-	c.abortsConflict.Reset()
-	c.abortsCapacity.Reset()
-	c.abortsPreempt.Reset()
-	c.abortsExplicit.Reset()
-	c.plainReads.Reset()
-	c.plainWrites.Reset()
-	c.txReads.Reset()
-	c.txWrites.Reset()
-	c.linesRead.Reset()
-	c.linesWritten.Reset()
-	c.committedActions.Reset()
-	c.coherenceMisses.Reset()
 }

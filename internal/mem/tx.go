@@ -78,7 +78,7 @@ func (m *Memory) Begin(tid int) *Tx {
 	tx.order = tx.order[:0]
 	m.liveTx++
 	m.refreshFast()
-	m.c.txBegins.Inc(tid)
+	m.stats.TxBegins++
 	if m.obs != nil {
 		m.obs.TxBegin(tid)
 	}
@@ -114,7 +114,7 @@ func (m *Memory) TxRead(tx *Tx, a word.Addr) (uint64, bool, AbortReason) {
 	if tx.state != TxActive {
 		return 0, false, tx.reason
 	}
-	m.c.txReads.Inc(tx.tid)
+	m.stats.TxReads++
 	l := word.Line(a)
 	if m.lineWriter[l] == int32(tx.tid+1) { // store-to-load forwarding
 		b := &tx.lines[m.lineSlot[l]]
@@ -134,7 +134,7 @@ func (m *Memory) TxRead(tx *Tx, a word.Addr) (uint64, bool, AbortReason) {
 		}
 		m.lineReaders[l] |= bit
 		tx.readLines = append(tx.readLines, l)
-		m.c.linesRead.Inc(tx.tid)
+		m.stats.LinesRead++
 	}
 	v, miss := m.words[a], m.readTouch(tx.tid, l)
 	if m.obs != nil {
@@ -152,7 +152,7 @@ func (m *Memory) TxWrite(tx *Tx, a word.Addr, v uint64) (bool, AbortReason) {
 	if tx.state != TxActive {
 		return false, tx.reason
 	}
-	m.c.txWrites.Inc(tx.tid)
+	m.stats.TxWrites++
 	l := word.Line(a)
 	miss := false
 	if m.lineWriter[l] != int32(tx.tid+1) {
@@ -165,7 +165,7 @@ func (m *Memory) TxWrite(tx *Tx, a word.Addr, v uint64) (bool, AbortReason) {
 		m.lineSlot[l] = int32(len(tx.lines))
 		tx.writeLines = append(tx.writeLines, l)
 		tx.lines = append(tx.lines, lineBuf{line: l})
-		m.c.linesWritten.Inc(tx.tid)
+		m.stats.LinesWritten++
 		miss = m.writeTouch(tx.tid, l)
 	}
 	if len(tx.order) >= maxTxWords {
@@ -230,13 +230,13 @@ func (m *Memory) FinishAbort(tx *Tx) AbortReason {
 	reason := tx.reason
 	switch reason {
 	case Conflict:
-		m.c.abortsConflict.Inc(tx.tid)
+		m.stats.ConflictAborts++
 	case Capacity:
-		m.c.abortsCapacity.Inc(tx.tid)
+		m.stats.CapacityAborts++
 	case Preempt:
-		m.c.abortsPreempt.Inc(tx.tid)
+		m.stats.PreemptAborts++
 	default:
-		m.c.abortsExplicit.Inc(tx.tid)
+		m.stats.ExplicitAborts++
 	}
 	tx.state = TxIdle
 	return reason
@@ -258,12 +258,12 @@ func (m *Memory) Commit(tx *Tx) AbortReason {
 			m.words[base+uint64(off)] = b.words[off]
 		}
 	}
-	m.c.committedActions.Add(tx.tid, uint64(len(tx.order)))
+	m.stats.CommittedActions += uint64(len(tx.order))
 	m.releaseLines(tx)
 	m.liveTx--
 	m.refreshFast()
 	tx.state = TxIdle
-	m.c.commits.Inc(tx.tid)
+	m.stats.Commits++
 	if m.obs != nil {
 		m.obs.TxCommit(tx.tid)
 	}

@@ -45,7 +45,7 @@ func TestTxForwardingAcrossLines(t *testing.T) {
 	if r := m.Commit(tx); r != NoAbort {
 		t.Fatal(r)
 	}
-	if got := m.Stats(0).CommittedActions; got != uint64(len(want)) {
+	if got := m.Stats().CommittedActions; got != uint64(len(want)) {
 		t.Fatalf("CommittedActions = %d, want %d distinct words", got, len(want))
 	}
 	for a := word.Addr(1024); a < 1088; a++ {

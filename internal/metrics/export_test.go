@@ -18,3 +18,12 @@ func BucketLabel(i, n int) string {
 
 // PhaseCycles reports the cycles attributed to ph.
 func (tp *ThreadProfile) PhaseCycles(ph Phase) uint64 { return tp.phases[ph] }
+
+// Total reports all cycles attributed to this thread.
+func (tp *ThreadProfile) Total() uint64 {
+	var s uint64
+	for _, v := range tp.phases {
+		s += v
+	}
+	return s
+}

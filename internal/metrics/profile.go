@@ -147,15 +147,6 @@ func (tp *ThreadProfile) SpanBlock(sp Span, opID, pc int, name string, elapsed u
 	op.blocks[pc] += self
 }
 
-// Total reports all cycles attributed to this thread.
-func (tp *ThreadProfile) Total() uint64 {
-	var s uint64
-	for _, v := range tp.phases {
-		s += v
-	}
-	return s
-}
-
 // Reset zeroes the profile.
 func (tp *ThreadProfile) Reset() {
 	tp.phases = [NumPhases]uint64{}

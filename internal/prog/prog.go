@@ -148,7 +148,7 @@ func (r *PlainRunner) Step(t *sched.Thread) bool {
 			t.Prof.SpanBlock(sp, r.op.ID, cur, r.op.Name, uint64(t.VTime()-v0))
 		}
 		if r.Hist != nil {
-			r.Hist.Observe(t.ID, uint64(t.VTime()-r.opStartV))
+			r.Hist.Observe(uint64(t.VTime() - r.opStartV))
 		}
 		r.busy = false
 		return true

@@ -99,15 +99,9 @@ type BlockInfo struct {
 // block. The slice is shared; treat it as read-only.
 func (o *Op) CFG() []BlockInfo { return o.cfg }
 
-// Verify runs the static checks against the builder's current state and
-// returns the findings without panicking (Build panics on the same
-// findings). name labels the diagnostics. The frame size is unknown here,
-// so frame-slot effects are only range-checked at Build/VerifyOp.
-func (b *Builder) Verify(name string) []Diagnostic {
-	return b.verifyAll(name, -1)
-}
-
-// verifyAll is Verify with the frame size known (Build's entry point).
+// verifyAll runs the static checks against the builder's current state
+// and returns the findings without panicking. frameWords < 0 means the
+// frame size is unknown, so frame-slot effects are only range-checked.
 func (b *Builder) verifyAll(name string, frameWords int) []Diagnostic {
 	var ds []Diagnostic
 	if len(b.blocks) == 0 {

@@ -22,11 +22,12 @@ type checkedPolicy struct {
 	r     *rng.Rand
 	until cost.Cycles // horizon of the Run in progress
 
-	// Per-thread switch-in count and per-context slice start seen at the
-	// previous decision: a thread switched in since then must have
-	// sliceStart equal to its clock (it has not stepped since), and an
-	// occupant that stayed put keeps its slice start.
-	switches []uint64
+	// Switch-in count and per-context slice starts seen at the previous
+	// decision: a slice start that moved since then belongs to a thread
+	// switched in since, so it equals that occupant's clock (it has not
+	// stepped since), and no more slice starts moved than switch-ins
+	// happened.
+	switches uint64
 	start    []cost.Cycles
 	checks   int
 }
@@ -34,8 +35,7 @@ type checkedPolicy struct {
 func newCheckedPolicy(t *testing.T, s *Scheduler, seed uint64) *checkedPolicy {
 	return &checkedPolicy{
 		t: t, r: rng.New(seed),
-		switches: make([]uint64, len(s.threads)),
-		start:    append([]cost.Cycles(nil), s.sliceStart...),
+		start: append([]cost.Cycles(nil), s.sliceStart...),
 	}
 }
 
@@ -75,6 +75,7 @@ func (p *checkedPolicy) check(s *Scheduler, cands []int) {
 	}
 	var ready uint64
 	var want []int
+	var moved uint64
 	for id, q := range s.queues {
 		var occ *Thread
 		if len(q) > 0 {
@@ -92,13 +93,10 @@ func (p *checkedPolicy) check(s *Scheduler, cands []int) {
 		} else if s.occVT[id] != notReady {
 			fail("occVT[%d] = %d for a context that cannot step", id, s.occVT[id])
 		}
-		if occ != nil {
-			if n := s.ctrSwitches.Lane(occ.ID); n != p.switches[occ.ID] {
-				if s.sliceStart[id] != occ.vtime {
-					fail("sliceStart[%d] = %d, thread %d switched in at %d", id, s.sliceStart[id], occ.ID, occ.vtime)
-				}
-			} else if s.sliceStart[id] != p.start[id] {
-				fail("sliceStart[%d] moved from %d to %d without a switch-in", id, p.start[id], s.sliceStart[id])
+		if occ != nil && s.sliceStart[id] != p.start[id] {
+			moved++
+			if s.sliceStart[id] != occ.vtime {
+				fail("sliceStart[%d] = %d, thread %d switched in at %d", id, s.sliceStart[id], occ.ID, occ.vtime)
 			}
 		}
 		var live int32
@@ -117,9 +115,10 @@ func (p *checkedPolicy) check(s *Scheduler, cands []int) {
 	if fmt.Sprint(cands) != fmt.Sprint(want) {
 		fail("cands = %v, queues say %v", cands, want)
 	}
-	for _, th := range s.threads {
-		p.switches[th.ID] = s.ctrSwitches.Lane(th.ID)
+	if n := s.stats.ContextSwitches - p.switches; moved > n {
+		fail("%d slice starts moved across %d switch-ins", moved, n)
 	}
+	p.switches = s.stats.ContextSwitches
 	copy(p.start, s.sliceStart)
 }
 

@@ -31,7 +31,7 @@ func newPerfWorld(nThreads int) *Scheduler {
 func TestDecisionLoopZeroAlloc(t *testing.T) {
 	sc := newPerfWorld(8)
 	horizon := cost.Cycles(50_000)
-	sc.Run(horizon) // establish counter lanes and buffers
+	sc.Run(horizon) // establish buffers
 	allocs := testing.AllocsPerRun(100, func() {
 		horizon += 20_000
 		sc.Run(horizon)

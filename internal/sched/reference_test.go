@@ -65,7 +65,7 @@ func refRun(s *Scheduler, until cost.Cycles) {
 					t.pollBackoff++
 				}
 				t.Charge(c)
-				s.ctrPolls.Inc(t.ID)
+				s.stats.BlockedPolls++
 				if t.Prof != nil {
 					t.Prof.AddPhase(metrics.PhaseBlocked, uint64(c))
 				}
@@ -101,6 +101,9 @@ func sameSchedule(t *testing.T, what string, got, want *Scheduler) {
 	t.Helper()
 	if got.Decisions() != want.Decisions() {
 		t.Fatalf("%s: %d decisions vs %d in the reference model", what, got.Decisions(), want.Decisions())
+	}
+	if got.stats != want.stats {
+		t.Fatalf("%s: stats %+v vs %+v in the reference model", what, got.stats, want.stats)
 	}
 	for i := range got.threads {
 		g, w := got.threads[i], want.threads[i]

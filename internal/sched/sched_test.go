@@ -154,7 +154,7 @@ func TestNoRotationWhenNotOversubscribed(t *testing.T) {
 		sc.AddThread(th, &counterStepper{cost: 1000})
 	}
 	sc.Run(cost.TimesliceQuantum * 4)
-	if got := m.TotalStats().PreemptAborts; got != 0 {
+	if got := m.Stats().PreemptAborts; got != 0 {
 		t.Fatalf("%d preempt aborts without oversubscription", got)
 	}
 }

@@ -116,12 +116,17 @@ type Scheduler struct {
 	pauseVT    cost.Cycles
 	pausedFlag bool
 
-	ctrPreempts *metrics.Counter
-	ctrSwitches *metrics.Counter
-	ctrPolls    *metrics.Counter
-	ctrCrashes  *metrics.Counter
+	stats Stats
+	obs   Observer
+}
 
-	obs Observer
+// Stats counts scheduler events across all threads. The decision loop
+// increments the fields of the Scheduler's own Stats directly.
+type Stats struct {
+	Preemptions     uint64 // time-slice expiries that rotated a context
+	ContextSwitches uint64 // threads switched onto a context
+	BlockedPolls    uint64 // polls of a blocked wait
+	Crashes         uint64 // threads killed by Crash
 }
 
 // NewScheduler creates a scheduler over m with the given topology and
@@ -133,14 +138,7 @@ func NewScheduler(m *mem.Memory, tp topo.Topology, seed uint64) *Scheduler {
 	if n > MaxContexts {
 		panic(fmt.Sprintf("sched: topology has %d hardware contexts, at most %d supported", n, MaxContexts))
 	}
-	reg := m.Metrics()
-	s := &Scheduler{
-		M: m, Topo: tp, jitter: rng.New(seed),
-		ctrPreempts: reg.Counter("sched.preemptions"),
-		ctrSwitches: reg.Counter("sched.context_switches"),
-		ctrPolls:    reg.Counter("sched.blocked_polls"),
-		ctrCrashes:  reg.Counter("sched.crashes"),
-	}
+	s := &Scheduler{M: m, Topo: tp, jitter: rng.New(seed)}
 	s.queues = make([][]*Thread, n)
 	s.siblings = make([][]int, n)
 	s.cands = make([]int, 0, n)
@@ -313,7 +311,7 @@ func (s *Scheduler) Crash(tid int) {
 	}
 	s.M.AbortTx(tid, mem.Preempt)
 	t.crashed = true
-	s.ctrCrashes.Inc(tid)
+	s.stats.Crashes++
 	if s.obs != nil {
 		s.obs.ThreadCrash(tid)
 	}
@@ -334,6 +332,10 @@ func (s *Scheduler) Crash(tid int) {
 // far. The count aligns with internal/explore's schedule-log decision
 // numbers: decision N is the (N+1)-th pick of the run.
 func (s *Scheduler) Decisions() uint64 { return s.decisions }
+
+// Stats returns the scheduler's live event counters. Callers copy it to
+// read and assign through it to reset.
+func (s *Scheduler) Stats() *Stats { return &s.stats }
 
 // PauseAtDecision arms a one-shot pause: Run returns just before making
 // decision n (so exactly n decisions have been made), at a block boundary
@@ -441,7 +443,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 					t.pollBackoff++
 				}
 				t.Charge(c)
-				s.ctrPolls.Inc(t.ID)
+				s.stats.BlockedPolls++
 				if t.Prof != nil {
 					t.Prof.AddPhase(metrics.PhaseBlocked, uint64(c))
 				}
@@ -531,7 +533,7 @@ func (s *Scheduler) rotate(id int) {
 	s.M.AbortTx(out.ID, mem.Preempt)
 	out.Trace(TracePreempt, 0)
 	out.Charge(cost.ContextSwitch)
-	s.ctrPreempts.Inc(out.ID)
+	s.stats.Preemptions++
 	if out.Prof != nil {
 		out.Prof.AddPhase(metrics.PhasePreempt, uint64(cost.ContextSwitch))
 	}
@@ -571,7 +573,7 @@ func (s *Scheduler) switchIn(id int) {
 	s.setLive(id, !in.done)
 	was := in.vtime
 	in.vtime = maxCycles(in.vtime, s.clock[id]) + cost.ContextSwitch
-	s.ctrSwitches.Inc(in.ID)
+	s.stats.ContextSwitches++
 	if in.Prof != nil {
 		// The jump covers descheduled time plus the switch-in cost.
 		in.Prof.AddPhase(metrics.PhasePreempt, uint64(in.vtime-was))

@@ -1,7 +1,8 @@
 // Snapshot-state support (internal/snap): the scheduler's mutable state is
 // each thread's context (registers, stack pointer, virtual clock, RNG
 // stream, mode, bookkeeping), each hardware context's run queue and
-// timeline, the jitter stream, and the decision counter.
+// timeline, the jitter stream, the decision counter and the event
+// counters.
 //
 // Restore ordering matters: mem.RestoreState must run before
 // Scheduler.RestoreState, because threads re-link their transaction
@@ -57,11 +58,12 @@ type State struct {
 	JitterS0  uint64
 	JitterS1  uint64
 	Decisions uint64
+	Stats     Stats
 }
 
 // SaveState copies out the scheduler's and every thread's mutable state.
 func (s *Scheduler) SaveState() *State {
-	st := &State{Decisions: s.decisions}
+	st := &State{Decisions: s.decisions, Stats: s.stats}
 	st.JitterS0, st.JitterS1 = s.jitter.State()
 	for _, t := range s.threads {
 		ts := ThreadState{
@@ -102,6 +104,7 @@ func (s *Scheduler) RestoreState(st *State) {
 		panic("sched: RestoreState population mismatch (different Config?)")
 	}
 	s.decisions = st.Decisions
+	s.stats = st.Stats
 	s.jitter.SetState(st.JitterS0, st.JitterS1)
 	s.pauseDecOn, s.pauseVTOn, s.pausedFlag = false, false, false
 	for i := range st.Threads {

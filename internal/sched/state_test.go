@@ -53,7 +53,7 @@ func TestRestoreStateContinuesRun(t *testing.T) {
 	ref := crashedRun(h0)
 	start := ref.Decisions()
 	ref.Run(h)
-	if ref.ctrPreempts.Value() == 0 {
+	if ref.stats.Preemptions == 0 {
 		t.Fatal("the run never preempted: not an oversubscribed schedule")
 	}
 	n := ref.Decisions() - start

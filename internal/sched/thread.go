@@ -187,9 +187,6 @@ func (t *Thread) Done() bool { return t.done }
 // Crashed reports whether the thread was killed mid-execution.
 func (t *Thread) Crashed() bool { return t.crashed }
 
-// SetDone marks the thread finished; the scheduler stops stepping it.
-func (t *Thread) SetDone() { t.done = true }
-
 // HWContext returns the hardware context this thread is pinned to.
 func (t *Thread) HWContext() int { return t.hw }
 

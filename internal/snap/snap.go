@@ -5,7 +5,8 @@
 // A State aggregates each layer's exported state struct (simulated memory
 // and coherence metadata, allocator tables, thread contexts and run
 // queues, RNG streams, split-predictor tables, reclamation-scheme
-// buffers, the metrics registry, and the bench harness's phase machine).
+// buffers, and the bench harness's phase machine). Each layer's State
+// carries that layer's event counters by value.
 // Every Save method copies; a State never aliases live simulator storage,
 // which is what makes forking work: restoring one State into any number
 // of freshly built instances yields that many independent, bit-identical
@@ -36,7 +37,6 @@ import (
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/core"
 	"stacktrack/internal/mem"
-	"stacktrack/internal/metrics"
 	"stacktrack/internal/reclaim"
 	"stacktrack/internal/sched"
 )
@@ -48,7 +48,9 @@ const Magic = "STSNAP"
 // other version: state structs change shape between schema revisions and
 // a silent cross-version restore would corrupt rather than fail.
 // Version 2 added core.ScanSnap.Act, the mid-scan victim's activity word.
-const Version uint32 = 2
+// Version 3 moved the event counters from a metrics-registry state into
+// each layer's State and recorded the run's Config in the harness state.
+const Version uint32 = 3
 
 // Decode failure modes, each detectable with errors.Is.
 var (
@@ -68,10 +70,9 @@ var (
 // gob-registered concrete type; snap itself does not know the bench
 // package (bench imports snap, not the reverse).
 type State struct {
-	Mem     *mem.State
-	Alloc   *alloc.State
-	Sched   *sched.State
-	Metrics *metrics.State
+	Mem   *mem.State
+	Alloc *alloc.State
+	Sched *sched.State
 
 	Core    *core.State
 	Reclaim *reclaim.State

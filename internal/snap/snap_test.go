@@ -53,9 +53,15 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestVersionSkew(t *testing.T) {
-	// Version lives right after the magic, big-endian. A v1 file predates
-	// the mid-scan victim's activity word and must not restore.
-	for _, ver := range []uint32{1, Version + 1} {
+	// Version lives right after the magic, big-endian. Every older
+	// schema (v1 lacks the mid-scan victim's activity word, v2 keeps its
+	// counters in a metrics-registry state) and the next one must not
+	// restore.
+	vers := []uint32{Version + 1}
+	for v := uint32(1); v < Version; v++ {
+		vers = append(vers, v)
+	}
+	for _, ver := range vers {
 		b := sample(t)
 		binary.BigEndian.PutUint32(b[len(Magic):], ver)
 		st, err := Decode(bytes.NewReader(b))

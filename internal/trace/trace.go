@@ -80,10 +80,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Ring reports whether the recorder keeps the last (rather than the first)
-// N events.
-func (r *Recorder) Ring() bool { return r.ring }
-
 // Dropped returns how many events exceeded the buffer: overflow events in
 // head mode, displaced (oldest) events in ring mode.
 func (r *Recorder) Dropped() uint64 { return r.dropped }

@@ -19,10 +19,13 @@
 # schedule plus a failing-state checkpoint into $FUZZ_ARTIFACTS (uploaded
 # by CI when an oracle fires), and the artifact is re-verified by a
 # from-scratch replay that writes the schedule back out byte-identically.
+# The checkpoint must load: stsim -restore finishes the run from it.
 set -eu
 
 STFUZZ=${STFUZZ:-./bin/stfuzz}
+STSIM=${STSIM:-./bin/stsim}
 go build -o "$STFUZZ" ./cmd/stfuzz
+go build -o "$STSIM" ./cmd/stsim
 
 echo "== phase 1: sound schemes stay clean (4 x 5s) =="
 for ds in list skiplist; do
@@ -93,4 +96,8 @@ mkdir -p "$ART"
   -expect-failure -trace 0
 cmp "$ART/crash.schedule" "$ART/replayed.schedule" ||
   { echo "FAIL: replayed schedule differs from the artifact" >&2; exit 1; }
-echo "OK: fork-heap failure reproduces from scratch; artifacts in $ART"
+# The uploaded failing-state checkpoint restores under the configuration it
+# records (stfuzz's run shape, which stsim's flags cannot all express).
+"$STSIM" -restore "$ART/crash.stsnap" >"$ART/restored.txt" ||
+  { cat "$ART/restored.txt"; echo "FAIL: stsim -restore could not finish the checkpoint" >&2; exit 1; }
+echo "OK: fork-heap failure reproduces from scratch and its checkpoint restores; artifacts in $ART"

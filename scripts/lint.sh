@@ -25,7 +25,7 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== stlint (statesem, simclock, metrichandle, effectdecl) =="
+echo "== stlint (statesem, simclock, effectdecl) =="
 go run ./cmd/stlint -root .
 
 echo "== stsim -lint -dataflow (prog-IR verifier + dataflow facts) =="

@@ -261,7 +261,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 // sim's scheme: the StackTrack split runner, or a plain runner.
 func (s *Sim) NewRunner() Runner {
 	if s.ST != nil {
-		return core.NewRunner(s.ST)
+		return core.NewRunner(s.ST, nil)
 	}
 	return &prog.PlainRunner{}
 }
