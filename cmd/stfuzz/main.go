@@ -18,10 +18,8 @@
 //
 // A failure is reported as a narrative and can be written out as a schedule
 // artifact (-out crash.schedule), optionally ddmin-minimized first
-// (-minimize); -snap-out additionally writes a failing-state checkpoint
-// (.stsnap) positioned just before the schedule's last deviation, for
-// time-travel debugging with stsim -restore. Replay mode re-runs a saved
-// artifact instead of exploring:
+// (-minimize). Replay mode re-runs a saved artifact from a cold start
+// instead of exploring:
 //
 //	stfuzz -replay crash.schedule -minimize
 //
@@ -42,7 +40,6 @@ import (
 
 	"stacktrack/internal/cli"
 	"stacktrack/internal/explore"
-	"stacktrack/internal/snap"
 )
 
 func main() {
@@ -66,7 +63,6 @@ func main() {
 		replay     = flag.String("replay", "", "replay this schedule artifact instead of exploring")
 		minimize   = flag.Bool("minimize", false, "ddmin-minimize the failing schedule before reporting")
 		out        = flag.String("out", "", "write the (minimized) failing schedule to this file")
-		snapOut    = flag.String("snap-out", "", "write a failing-state checkpoint (.stsnap) when an oracle fires")
 		traceTail  = flag.Int("trace", 48, "events of trace tail in the failure narrative")
 		expectFail = flag.Bool("expect-failure", false, "exit 0 iff a failure WAS found (CI seeded-bug jobs)")
 	)
@@ -84,7 +80,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		report(finish(log, *minimize, *out, *snapOut, *traceTail), *expectFail)
+		report(finish(log, *minimize, *out, *traceTail), *expectFail)
 		return
 	}
 
@@ -139,12 +135,12 @@ func main() {
 		return
 	}
 	fmt.Printf("stfuzz: seed %d fails: %s\n\n", res.Failure.Seed, res.Failure.Verdict)
-	report(finish(res.Failure.Log, *minimize, *out, *snapOut, *traceTail), *expectFail)
+	report(finish(res.Failure.Log, *minimize, *out, *traceTail), *expectFail)
 }
 
 // finish minimizes (optionally), narrates, and saves a schedule log.
 // It reports whether the log still fails.
-func finish(log *explore.Log, minimize bool, out, snapOut string, tail int) bool {
+func finish(log *explore.Log, minimize bool, out string, tail int) bool {
 	if minimize {
 		min, err := explore.Minimize(log, explore.MinimizeOptions{
 			SameOracle: true,
@@ -168,16 +164,6 @@ func finish(log *explore.Log, minimize bool, out, snapOut string, tail int) bool
 			fatal(err)
 		}
 		fmt.Printf("\nstfuzz: schedule written to %s\n", out)
-	}
-	if snapOut != "" && outc.Verdict.Failed {
-		st, err := explore.CheckpointLog(log)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stfuzz: failing-state checkpoint: %v\n", err)
-		} else if err := snap.WriteFile(snapOut, st); err != nil {
-			fatal(err)
-		} else {
-			fmt.Printf("stfuzz: failing-state checkpoint written to %s (decision %d)\n", snapOut, st.Decisions())
-		}
 	}
 	return outc.Verdict.Failed
 }

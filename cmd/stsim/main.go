@@ -11,20 +11,19 @@
 // virtual time V ms, writes a snapshot (-checkpoint-out), and continues to
 // the normal report. -restore resumes a snapshot and finishes it —
 // bit-identical to the uninterrupted run. The run is rebuilt from the
-// configuration recorded in the snapshot, so it also loads a checkpoint
-// written by stfuzz -snap-out; of the other flags only the observability
-// toggles (-trace, -profile/-folded, -sanitize) apply:
+// configuration recorded in the snapshot; of the other flags only the
+// observability toggles (-trace, -profile/-folded, -sanitize) apply:
 //
 //	stsim -scheme Epoch -checkpoint-at 10 -checkpoint-out run.stsnap
 //	stsim -restore run.stsnap
 //
-// Bisect mode (-bisect) binary-searches virtual time for the first point
-// a monotone oracle fails — a poison (use-after-free) read or a simulated
-// crash — forking each probe from the latest known-clean checkpoint
-// instead of re-running from t=0. Conservation and linearizability are
-// whole-run oracles (they need the drain phase) and are judged at the end
-// of the run as usual, not bisected. With -checkpoint-out, the last clean
-// state is written for time-travel debugging:
+// Bisect mode (-bisect) finds the first failure of a monotone oracle — a
+// poison (use-after-free) read or a simulated crash — in one run and
+// reports its scheduling decision. The run is deterministic, so a second
+// run paused just before that decision is the last clean state; with
+// -checkpoint-out it is written for time-travel debugging. Conservation
+// and linearizability are whole-run oracles (they need the drain phase)
+// and are judged at the end of the run as usual:
 //
 //	stsim -scheme UnsafeFree -ds list -bisect -checkpoint-out clean.stsnap
 package main
@@ -32,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -57,9 +57,9 @@ func main() {
 		folded   = flag.String("folded", "", "write folded stacks (flamegraph.pl input) to this file; implies -profile")
 
 		checkpointAt  = flag.Float64("checkpoint-at", 0, "checkpoint at this virtual time (ms), then continue")
-		checkpointOut = flag.String("checkpoint-out", "checkpoint.stsnap", "snapshot file written by -checkpoint-at / -bisect")
+		checkpointOut = flag.String("checkpoint-out", "checkpoint.stsnap", "snapshot file written by -checkpoint-at, and by -bisect only when given")
 		restore       = flag.String("restore", "", "restore this snapshot, rebuilt from the configuration it records, and finish it")
-		bisect        = flag.Bool("bisect", false, "binary-search virtual time for the first poison read or simulated crash")
+		bisect        = flag.Bool("bisect", false, "report the decision of the first poison read or simulated crash, and the clean state before it")
 	)
 	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -75,6 +75,16 @@ func main() {
 	}
 
 	cfg, err := wl.Config()
+	var at cost.Cycles
+	switch {
+	case err != nil:
+	case *maxFree < 0:
+		err = fmt.Errorf("-scan-every: %d is not a free-set size (want 0 or more)", *maxFree)
+	case *traceN < 0:
+		err = fmt.Errorf("-trace: %d is not an event count (want 0 or more)", *traceN)
+	default:
+		at, err = cli.VirtualMs("checkpoint-at", *checkpointAt)
+	}
 	if err != nil {
 		fail(cli.ExitUsage, err)
 	}
@@ -89,7 +99,13 @@ func main() {
 	var res *bench.Result
 	switch {
 	case *bisect:
-		runBisect(cfg, *checkpointOut)
+		out := ""
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "checkpoint-out" {
+				out = *checkpointOut
+			}
+		})
+		runBisect(cfg, out)
 		return
 	case *restore != "":
 		var st *snap.State
@@ -109,13 +125,13 @@ func main() {
 		}
 		fmt.Printf("stsim: restored %s at decision %d; finishing the run\n\n", *restore, st.Decisions())
 		res, err = ses.Finish()
-	case *checkpointAt > 0:
+	case at > 0:
 		var ses *bench.Session
 		ses, err = bench.NewSession(cfg)
 		if err != nil {
 			break
 		}
-		if ses.RunToVTime(cost.FromSeconds(*checkpointAt / 1000)) {
+		if ses.RunToVTime(at) {
 			var st *snap.State
 			st, err = ses.Snapshot()
 			if err != nil {
@@ -161,32 +177,27 @@ func main() {
 	}
 }
 
-// runBisect binary-searches virtual time for the first failure of a
-// monotone oracle — a poison (use-after-free) read or a simulated crash —
-// forking every probe from the latest known-clean snapshot instead of
-// re-running from t=0. Exits 1 when a failure is found (its window and the
-// last clean state are reported), 0 when the run is clean.
+// runBisect finds the first failure of a monotone oracle — a poison
+// (use-after-free) read or a simulated crash — in one run, then runs a
+// fresh session to just before its decision: the last clean state, written
+// to outPath when it is set. Exits 1 when a failure is found, 0 when the
+// run is clean.
 func runBisect(cfg bench.Config, outPath string) {
-	// Base checkpoint at t=0, before any simulated work.
-	base, err := bench.NewSession(cfg)
+	ses, err := bench.NewSession(cfg)
 	if err != nil {
 		fail(cli.ExitFailure, err)
 	}
-	loState, err := base.Snapshot()
-	if err != nil {
-		fail(cli.ExitFailure, err)
+	crashed := crashes(ses)
+	n, found := ses.FirstUAF()
+	kind := "poison read"
+	if crashed && !found {
+		// The crash happened during the step of the last decision made.
+		n, found, kind = ses.Decisions()-1, true, "simulated crash"
 	}
-
-	// Full probe: does a bisectable failure happen at all, and by when?
-	probe, _, crashed, err := probeTo(cfg, loState, cost.Cycles(1)<<62)
-	if err != nil {
-		fail(cli.ExitFailure, err)
-	}
-	hi := probe.VTime()
-	if !crashed && probe.UAFReads() == 0 {
+	if !found {
 		// Clean through the pausable run; finish it to see whether a
 		// failure hides in the drain, beyond where a pause can land.
-		res, err := probe.Finish()
+		res, err := ses.Finish()
 		if err != nil {
 			fail(cli.ExitFailure, err)
 		}
@@ -197,82 +208,37 @@ func runBisect(cfg bench.Config, outPath string) {
 		fmt.Println("stsim: bisect — no poison read or simulated crash in this run")
 		return
 	}
-	kind := "poison read"
-	if crashed && probe.UAFReads() == 0 {
-		kind = "simulated crash"
+	if ses, err = bench.NewSession(cfg); err != nil {
+		fail(cli.ExitFailure, err)
 	}
-
-	// Invariant: every step before vtime lo has executed cleanly (loState
-	// holds a consistent paused state proving it) and the failure happens
-	// at or before vtime hi. Every probe resumes from loState. A probe to
-	// mid pauses once every thread's NEXT step lies at or past mid, so a
-	// clean probe proves cleanliness below mid only, and a failing probe
-	// bounds the failure by where it actually stopped, not by mid.
-	var lo cost.Cycles
-	probes := 1
-	for hi-lo > 1 && probes < 64 {
-		mid := lo + (hi-lo)/2
-		ses, paused, crashed, err := probeTo(cfg, loState, mid)
-		if err != nil {
-			fail(cli.ExitFailure, err)
-		}
-		probes++
-		if crashed || ses.UAFReads() > 0 {
-			v := ses.VTime()
-			if v >= hi {
-				// The probe overran the whole window before it could
-				// pause: the window is already at pause granularity.
-				break
-			}
-			hi = v
-			continue
-		}
-		lo = mid
-		if !paused {
-			break
-		}
-		st, err := ses.Snapshot()
-		if err != nil {
-			fail(cli.ExitFailure, err)
-		}
-		loState = st
-	}
-
-	fmt.Printf("stsim: bisect — first %s in vtime window (%.4f ms, %.4f ms] after %d probes\n",
-		kind, cost.Seconds(lo)*1000, cost.Seconds(hi)*1000, probes)
-	fmt.Printf("stsim: last clean state: decision %d, vtime %.4f ms\n",
-		loState.Decisions(), cost.Seconds(lo)*1000)
+	ses.RunToDecision(n)
+	fmt.Printf("stsim: bisect — first %s at decision %d (vtime %.4f ms)\n",
+		kind, n, cost.Seconds(ses.VTime())*1000)
 	if outPath != "" {
-		if err := snap.WriteFile(outPath, loState); err != nil {
+		st, err := ses.Snapshot()
+		if err == nil {
+			err = snap.WriteFile(outPath, st)
+		}
+		if err != nil {
 			fail(cli.ExitFailure, err)
 		}
-		fmt.Printf("stsim: clean checkpoint written to %s — resume it with -restore to step into the failure\n", outPath)
+		fmt.Printf("stsim: clean state before it written to %s — resume it with -restore to step into the failure\n", outPath)
 	}
 	cli.Exit(cli.ExitFailure)
+}
+
+// crashes runs the session to the end of its measurement window and
+// reports whether a simulated crash (allocator panic) stopped it first.
+func crashes(ses *bench.Session) (crashed bool) {
+	defer func() { crashed = recover() != nil }()
+	ses.RunToDecision(math.MaxUint64)
+	return
 }
 
 // fail reports err and exits with code.
 func fail(code int, err error) {
 	fmt.Fprintf(os.Stderr, "stsim: %v\n", err)
 	cli.Exit(code)
-}
-
-// probeTo forks a session from a snapshot and advances it to virtual time
-// v, converting a simulated crash (allocator panic) into a flag.
-func probeTo(cfg bench.Config, from *snap.State, v cost.Cycles) (ses *bench.Session, paused, crashed bool, err error) {
-	ses, err = bench.SessionFromSnapshot(cfg, from)
-	if err != nil {
-		return nil, false, false, err
-	}
-	func() {
-		defer func() {
-			if recover() != nil {
-				crashed = true
-			}
-		}()
-		paused = ses.RunToVTime(v)
-	}()
-	return ses, paused, crashed, nil
 }
 
 // reportProfile prints the virtual-cycle phase breakdown, largest first.

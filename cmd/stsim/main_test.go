@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -57,6 +58,10 @@ func TestBadWorkloadFlagsRejected(t *testing.T) {
 		{"-initial", "-5"},
 		{"-mutate", "101"},
 		{"-mutate", "-1"},
+		{"-checkpoint-at", "-1"},
+		{"-checkpoint-at", "NaN"},
+		{"-scan-every", "-3"},
+		{"-trace", "-4"},
 	} {
 		_, stderr, code := stsim(t, append(tinyRun, c.flag, c.value)...)
 		if code != 2 {
@@ -116,5 +121,39 @@ func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 		if !strings.HasPrefix(status, "stsim: ") || report != want {
 			t.Fatalf("%v printed\n%s\nwant a status line, then\n%s", args, out, want)
 		}
+	}
+}
+
+// TestBisectCheckpointStepsIntoFailure checks the README's bisect claim on
+// its command, windows shrunk: -bisect reports the decision of the first
+// poison read and writes the clean state before it only when -checkpoint-out
+// is given, and restoring that state steps into the failure.
+func TestBisectCheckpointStepsIntoFailure(t *testing.T) {
+	bisect := []string{"-scheme", "UnsafeFree", "-ds", "list", "-threads", "8",
+		"-mutate", "60", "-initial", "16", "-measure-ms", "0.05", "-warmup-ms", "0.02", "-bisect"}
+	if _, stderr, code := stsim(t, bisect...); code != 1 {
+		t.Fatalf("-bisect exited %d, want 1; stderr:\n%s", code, stderr)
+	}
+	if _, err := os.Stat("checkpoint.stsnap"); err == nil {
+		os.Remove("checkpoint.stsnap")
+		t.Error("-bisect without -checkpoint-out wrote checkpoint.stsnap")
+	}
+	file := filepath.Join(t.TempDir(), "clean.stsnap")
+	out, stderr, code := stsim(t, append(bisect, "-checkpoint-out", file)...)
+	if code != 1 || !strings.Contains(out, "first poison read at decision ") {
+		t.Fatalf("-bisect exited %d, want 1 and a reported decision; stdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+	out, stderr, code = stsim(t, "-restore", file)
+	if code != 0 {
+		t.Fatalf("-restore exited %d; stderr:\n%s", code, stderr)
+	}
+	var uaf int
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, " use-after-free reads") {
+			fmt.Sscan(line, &uaf)
+		}
+	}
+	if uaf < 1 {
+		t.Fatalf("restored clean state made no use-after-free read:\n%s", out)
 	}
 }

@@ -298,6 +298,8 @@ type instance struct {
 	// op counters, classified on completion
 	succIns, succDel, hits uint64
 	uafReads               uint64
+	// firstUAF is the scheduler's decision count at the first poison read.
+	firstUAF uint64
 
 	// histories: per-key completed operations when Config.History is set.
 	// histStarts is the per-driver issue time of the in-flight operation —
@@ -376,7 +378,12 @@ func newInstance(cfg Config) (*instance, error) {
 		t := sched.NewThread(i, in.m, in.al, rng.Splitmix64(&seedStream))
 		if cfg.Validate {
 			t.Validate = true
-			t.SetUAFReporter(func(t *sched.Thread, a word.Addr) { in.uafReads++ })
+			t.SetUAFReporter(func(t *sched.Thread, a word.Addr) {
+				if in.uafReads == 0 {
+					in.firstUAF = in.sc.Decisions()
+				}
+				in.uafReads++
+			})
 		}
 		if in.tracer != nil {
 			t.Tracer = in.tracer

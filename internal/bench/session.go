@@ -55,6 +55,7 @@ type HarnessState struct {
 	SuccDel  uint64
 	Hits     uint64
 	UAFReads uint64
+	FirstUAF uint64
 	Stopping bool
 	OpCycles metrics.Histogram
 
@@ -135,10 +136,13 @@ func (s *Session) Config() Config { return s.in.cfg }
 // the currency of schedule logs and snapshot positions.
 func (s *Session) Decisions() uint64 { return s.in.sc.Decisions() }
 
-// UAFReads returns the poison (use-after-free) reads observed so far —
-// a monotone failure signal, which is what makes virtual-time bisection
-// (stsim -bisect) well defined mid-run.
-func (s *Session) UAFReads() uint64 { return s.in.uafReads }
+// FirstUAF returns the decision whose step made the run's first poison
+// (use-after-free) read; ok is false until one happens. The run is
+// deterministic, so RunToDecision(decision) on a fresh session of the same
+// run pauses in the last clean state before it (stsim -bisect).
+func (s *Session) FirstUAF() (decision uint64, ok bool) {
+	return s.in.firstUAF - 1, s.in.uafReads > 0
+}
 
 // VTime returns the maximum virtual time reached across hardware
 // contexts.
@@ -222,7 +226,7 @@ func (s *Session) Snapshot() (*snap.State, error) {
 
 // SnapshotConfig returns the configuration the snapshot's run was built
 // from, Policy dropped. A restore that knows nothing else about the run
-// (stsim -restore of an stfuzz checkpoint) builds from it.
+// (stsim -restore) builds from it.
 func SnapshotConfig(st *snap.State) (Config, error) {
 	hs, ok := st.Harness.(*HarnessState)
 	if !ok {
@@ -300,6 +304,7 @@ func (in *instance) saveHarness() *HarnessState {
 		SuccDel:         in.succDel,
 		Hits:            in.hits,
 		UAFReads:        in.uafReads,
+		FirstUAF:        in.firstUAF,
 		Stopping:        in.stopping,
 		OpCycles:        in.opCycles,
 		HistStarts:      append([]cost.Cycles(nil), in.histStarts...),
@@ -333,7 +338,7 @@ func (in *instance) restoreHarness(hs *HarnessState) error {
 	in.warmIns, in.warmDel, in.warmHits = hs.WarmIns, hs.WarmDel, hs.WarmHits
 	in.opsBefore = hs.OpsBefore
 	in.succIns, in.succDel, in.hits = hs.SuccIns, hs.SuccDel, hs.Hits
-	in.uafReads = hs.UAFReads
+	in.uafReads, in.firstUAF = hs.UAFReads, hs.FirstUAF
 	in.stopping = hs.Stopping
 	in.opCycles = hs.OpCycles
 	copy(in.histStarts, hs.HistStarts)

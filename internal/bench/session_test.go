@@ -528,3 +528,40 @@ func TestFreshProcessRestore(t *testing.T) {
 		})
 	}
 }
+
+// TestFirstUAF: a fresh session of the same run paused at the decision
+// FirstUAF names has made no poison read, one more decision makes one,
+// and the decision survives a snapshot round trip (stsim -bisect).
+func TestFirstUAF(t *testing.T) {
+	cfg := quickCfg(SchemeUnsafeFree)
+	first, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	first.RunToDecision(math.MaxUint64)
+	n, ok := first.FirstUAF()
+	if !ok {
+		t.Fatal("UnsafeFree run made no poison read before the drain")
+	}
+	ses, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	if !ses.RunToDecision(n) || ses.in.uafReads != 0 {
+		t.Fatalf("paused at decision %d with %d poison reads, want a clean pause", n, ses.in.uafReads)
+	}
+	if !ses.RunToDecision(n+1) || ses.in.uafReads == 0 {
+		t.Fatalf("decision %d made no poison read", n)
+	}
+	st, err := ses.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	restored, err := SessionFromSnapshot(cfg, st)
+	if err != nil {
+		t.Fatalf("SessionFromSnapshot: %v", err)
+	}
+	if got, ok := restored.FirstUAF(); !ok || got != n {
+		t.Fatalf("restored FirstUAF = %d, %v; want %d, true", got, ok, n)
+	}
+}

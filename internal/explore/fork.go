@@ -11,8 +11,6 @@ package explore
 // candidate.
 
 import (
-	"fmt"
-
 	"stacktrack/internal/bench"
 	"stacktrack/internal/snap"
 )
@@ -69,7 +67,9 @@ func capturePrefixSnapshots(cfg RunConfig, decisions []Decision, points int) []s
 	if len(decisions) == 0 || points <= 0 {
 		return nil
 	}
-	ses, err := newReplaySession(cfg.WithDefaults(), decisions)
+	bc := cfg.WithDefaults().benchConfig()
+	bc.Policy = NewReplay(decisions, 0)
+	ses, err := bench.NewSession(bc)
 	if err != nil {
 		return nil
 	}
@@ -106,54 +106,4 @@ func runToDecision(ses *bench.Session, n uint64) (paused, crashed bool) {
 		}
 	}()
 	return ses.RunToDecision(n), false
-}
-
-// CheckpointLog replays a failing schedule up to just before its last
-// checkpointable deviation and returns that checkpoint: the "failing
-// state" artifact a CI job uploads next to the schedule itself. Restoring
-// it and running forward replays the failure's endgame without
-// re-simulating the prefix — time-travel debugging's entry point.
-// Deviations that land beyond the pausable horizon (in the drain phase, or
-// past a simulated crash) cannot host the checkpoint; the latest one
-// before the horizon is used.
-func CheckpointLog(log *Log) (*snap.State, error) {
-	if len(log.Decisions) == 0 {
-		return nil, fmt.Errorf("explore: schedule has no deviations to checkpoint before")
-	}
-	cfg := log.Config.WithDefaults()
-	// Pass 1: find the pausable horizon.
-	probe, err := newReplaySession(cfg, log.Decisions)
-	if err != nil {
-		return nil, err
-	}
-	runToDecision(probe, ^uint64(0))
-	horizon := probe.Decisions()
-	target := -1
-	for i, d := range log.Decisions {
-		if d.N >= horizon {
-			break
-		}
-		target = i
-	}
-	if target < 0 {
-		return nil, fmt.Errorf("explore: every recorded deviation lies at or beyond the last checkpointable decision (%d)", horizon)
-	}
-	// Pass 2: pause just before that deviation and checkpoint.
-	ses, err := newReplaySession(cfg, log.Decisions)
-	if err != nil {
-		return nil, err
-	}
-	n := log.Decisions[target].N
-	paused, crashed := runToDecision(ses, n)
-	if crashed || !paused {
-		return nil, fmt.Errorf("explore: replay did not reach decision %d (paused %v, crashed %v)", n, paused, crashed)
-	}
-	return ses.Snapshot()
-}
-
-// newReplaySession builds a session replaying the given decisions.
-func newReplaySession(cfg RunConfig, decisions []Decision) (*bench.Session, error) {
-	bc := cfg.benchConfig()
-	bc.Policy = NewReplay(decisions, 0)
-	return bench.NewSession(bc)
 }

@@ -50,7 +50,8 @@ const Magic = "STSNAP"
 // Version 2 added core.ScanSnap.Act, the mid-scan victim's activity word.
 // Version 3 moved the event counters from a metrics-registry state into
 // each layer's State and recorded the run's Config in the harness state.
-const Version uint32 = 3
+// Version 4 added the harness's decision count at the first poison read.
+const Version uint32 = 4
 
 // Decode failure modes, each detectable with errors.Is.
 var (

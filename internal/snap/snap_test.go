@@ -55,8 +55,8 @@ func TestBadMagic(t *testing.T) {
 func TestVersionSkew(t *testing.T) {
 	// Version lives right after the magic, big-endian. Every older
 	// schema (v1 lacks the mid-scan victim's activity word, v2 keeps its
-	// counters in a metrics-registry state) and the next one must not
-	// restore.
+	// counters in a metrics-registry state, v3 lacks the first poison
+	// read's decision) and the next one must not restore.
 	vers := []uint32{Version + 1}
 	for v := uint32(1); v < Version; v++ {
 		vers = append(vers, v)

@@ -13,19 +13,16 @@
 # compared. -expect-failure inverts the exit status: finding the bug is
 # success.
 #
-# Phase 3 — checkpoint/restore end to end: a fork-heap campaign (one
+# Phase 3 — snapshot forking end to end: a fork-heap campaign (one
 # warmed snapshot forked across strategy seeds) finds a use-after-free,
 # ddmin minimizes it over the snapshot-accelerated replay path, writes the
-# schedule plus a failing-state checkpoint into $FUZZ_ARTIFACTS (uploaded
-# by CI when an oracle fires), and the artifact is re-verified by a
-# from-scratch replay that writes the schedule back out byte-identically.
-# The checkpoint must load: stsim -restore finishes the run from it.
+# schedule into $FUZZ_ARTIFACTS (uploaded by CI when an oracle fires), and
+# the artifact is re-verified by a from-scratch replay that writes the
+# schedule back out byte-identically.
 set -eu
 
 STFUZZ=${STFUZZ:-./bin/stfuzz}
-STSIM=${STSIM:-./bin/stsim}
 go build -o "$STFUZZ" ./cmd/stfuzz
-go build -o "$STSIM" ./cmd/stsim
 
 echo "== phase 1: sound schemes stay clean (4 x 5s) =="
 for ds in list skiplist; do
@@ -78,17 +75,16 @@ else
   echo "OK: parallel exploration is $(( serial / parallel ))x+ faster"
 fi
 
-echo "== phase 3: fork-heap campaign, snapshot-accelerated ddmin, failing-state checkpoint =="
+echo "== phase 3: fork-heap campaign, snapshot-accelerated ddmin, cold-start replay =="
 ART=${FUZZ_ARTIFACTS:-./fuzz-artifacts}
 mkdir -p "$ART"
 "$STFUZZ" -ds list -scheme unsafe -strategy random -seed 6 \
   -threads 2 -mutate 40 -keyrange 128 -initial 64 \
   -measure-ms 0.1 -warmup-ms 0.05 \
   -budget 60s -max-runs 256 -workers 2 -fork-heap \
-  -minimize -out "$ART/crash.schedule" -snap-out "$ART/crash.stsnap" \
+  -minimize -out "$ART/crash.schedule" \
   -expect-failure -trace 0
 [ -s "$ART/crash.schedule" ] || { echo "FAIL: no schedule artifact written" >&2; exit 1; }
-[ -s "$ART/crash.stsnap" ] || { echo "FAIL: no failing-state checkpoint written" >&2; exit 1; }
 # The campaign forked every run off one warmed snapshot; the minimized
 # artifact must still reproduce from a cold start, and writing the loaded
 # schedule back out must reproduce its bytes exactly.
@@ -96,8 +92,4 @@ mkdir -p "$ART"
   -expect-failure -trace 0
 cmp "$ART/crash.schedule" "$ART/replayed.schedule" ||
   { echo "FAIL: replayed schedule differs from the artifact" >&2; exit 1; }
-# The uploaded failing-state checkpoint restores under the configuration it
-# records (stfuzz's run shape, which stsim's flags cannot all express).
-"$STSIM" -restore "$ART/crash.stsnap" >"$ART/restored.txt" ||
-  { cat "$ART/restored.txt"; echo "FAIL: stsim -restore could not finish the checkpoint" >&2; exit 1; }
-echo "OK: fork-heap failure reproduces from scratch and its checkpoint restores; artifacts in $ART"
+echo "OK: fork-heap failure reproduces from scratch; artifacts in $ART"
