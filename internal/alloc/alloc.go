@@ -69,9 +69,9 @@ type Stats struct {
 }
 
 type page struct {
-	base      word.Addr
-	class     int8
-	allocated []bool // per-slot allocation bit
+	base  word.Addr
+	class int8
+	bit   int // index in Allocator.bits of the page's slot 0
 }
 
 // Allocator manages the simulated memory's static region and heap.
@@ -88,6 +88,10 @@ type Allocator struct {
 	// locate is pure arithmetic plus one slice index — no map hashing on
 	// the allocation/free/scan hot paths.
 	pages []page
+	// bits holds every page's per-slot allocation bits back to back, so
+	// claiming a page allocates no Go memory of its own: pages[i]'s slot s
+	// is bit pages[i].bit+s.
+	bits []uint64
 	// fresh[c] is class c's bump cursor: its newest page's slots from
 	// next to end have never been handed out. freeLists[c] is a LIFO
 	// stack of the class's freed and Unalloc'd objects, which TryAlloc
@@ -155,10 +159,40 @@ func (a *Allocator) growClass(c int8) bool {
 	a.heapBrk += PageWords
 	// base always equals the old heapBrk, so append keeps pages dense in
 	// page-number order.
-	a.pages = append(a.pages, page{base: base, class: c, allocated: make([]bool, PageWords>>classShift(c))})
+	a.pages = append(a.pages, page{base: base, class: c, bit: a.claimBits(c)})
 	a.stats.PagesInUse++
 	a.fresh[c].next, a.fresh[c].end = base, base+PageWords
 	return true
+}
+
+// claimBits reserves class c's per-page slot count of cleared bits at the
+// end of bits and returns the first one's index.
+func (a *Allocator) claimBits(c int8) int {
+	first := 0
+	if n := len(a.pages); n > 0 {
+		last := &a.pages[n-1]
+		first = last.bit + PageWords>>classShift(last.class)
+	}
+	if need := (first + PageWords>>classShift(c) + 63) >> 6; need > len(a.bits) {
+		a.bits = append(a.bits, make([]uint64, need-len(a.bits))...)
+	}
+	return first
+}
+
+// allocated reports slot's allocation bit on pg.
+func (a *Allocator) allocated(pg *page, slot int) bool {
+	i := pg.bit + slot
+	return a.bits[i>>6]&(1<<(i&63)) != 0
+}
+
+// setAllocated sets slot's allocation bit on pg to v.
+func (a *Allocator) setAllocated(pg *page, slot int, v bool) {
+	i := pg.bit + slot
+	if v {
+		a.bits[i>>6] |= 1 << (i & 63)
+	} else {
+		a.bits[i>>6] &^= 1 << (i & 63)
+	}
 }
 
 // Alloc returns a zeroed object of at least n words, or panics with a
@@ -196,10 +230,10 @@ func (a *Allocator) TryAlloc(tid int, n int) (word.Addr, error) {
 
 	pg := &a.pages[(uint64(p)-uint64(a.heapBase))>>pageShift]
 	slot := int(p-pg.base) >> shift
-	if pg.allocated[slot] {
+	if a.allocated(pg, slot) {
 		panic(fmt.Sprintf("alloc: free list corruption at %#x", uint64(p)))
 	}
-	pg.allocated[slot] = true
+	a.setAllocated(pg, slot, true)
 
 	a.m.Zero(p, size)
 	a.stats.Allocs++
@@ -223,10 +257,10 @@ func (a *Allocator) Free(tid int, p word.Addr) {
 	if pg.base+word.Addr(slot*size) != p {
 		panic(fmt.Sprintf("alloc: Free of interior pointer %#x", uint64(p)))
 	}
-	if !pg.allocated[slot] {
+	if !a.allocated(pg, slot) {
 		panic(fmt.Sprintf("alloc: double free of %#x", uint64(p)))
 	}
-	pg.allocated[slot] = false
+	a.setAllocated(pg, slot, false)
 	if a.obs != nil {
 		a.obs.ObjectFreeBegin(tid, p, size)
 	}
@@ -255,10 +289,10 @@ func (a *Allocator) Unalloc(p word.Addr) {
 	if pg.base+word.Addr(slot*size) != p {
 		panic(fmt.Sprintf("alloc: Unalloc of interior pointer %#x", uint64(p)))
 	}
-	if !pg.allocated[slot] {
+	if !a.allocated(pg, slot) {
 		panic(fmt.Sprintf("alloc: Unalloc of free object %#x", uint64(p)))
 	}
-	pg.allocated[slot] = false
+	a.setAllocated(pg, slot, false)
 	for i := 0; i < size; i++ {
 		a.m.Poke(p+word.Addr(i), word.Poison)
 	}
@@ -288,7 +322,7 @@ func (a *Allocator) locate(p word.Addr) (*page, int, bool) {
 // are currently free. This is the scanner's range query (§5.5).
 func (a *Allocator) ObjectStart(p word.Addr) (word.Addr, bool) {
 	pg, slot, ok := a.locate(p)
-	if !ok || !pg.allocated[slot] {
+	if !ok || !a.allocated(pg, slot) {
 		return 0, false
 	}
 	return pg.base + word.Addr(slot<<classShift(pg.class)), true
@@ -298,5 +332,5 @@ func (a *Allocator) ObjectStart(p word.Addr) (word.Addr, bool) {
 // object.
 func (a *Allocator) IsAllocated(p word.Addr) bool {
 	pg, slot, ok := a.locate(p)
-	return ok && pg.allocated[slot] && pg.base+word.Addr(slot<<classShift(pg.class)) == p
+	return ok && a.allocated(pg, slot) && pg.base+word.Addr(slot<<classShift(pg.class)) == p
 }

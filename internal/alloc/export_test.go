@@ -9,7 +9,7 @@ import (
 // SizeOf returns the usable size in words of allocated object p.
 func (a *Allocator) SizeOf(p word.Addr) (int, bool) {
 	pg, slot, ok := a.locate(p)
-	if !ok || !pg.allocated[slot] {
+	if !ok || !a.allocated(pg, slot) {
 		return 0, false
 	}
 	if pg.base+word.Addr(slot<<classShift(pg.class)) != p {

@@ -40,17 +40,18 @@ func (a *Allocator) SlotRange(p word.Addr) (base word.Addr, size int, allocated,
 		return 0, 0, false, false
 	}
 	size = 1 << classShift(pg.class)
-	return pg.base + word.Addr(slot*size), size, pg.allocated[slot], true
+	return pg.base + word.Addr(slot*size), size, a.allocated(pg, slot), true
 }
 
 // ForEachSlot visits every slot of every claimed heap page (iteration
 // order is unspecified). It exists so shadow state can be rebuilt from a
 // restored snapshot.
 func (a *Allocator) ForEachSlot(f func(base word.Addr, size int, allocated bool)) {
-	for _, pg := range a.pages {
+	for i := range a.pages {
+		pg := &a.pages[i]
 		size := 1 << classShift(pg.class)
-		for slot, al := range pg.allocated {
-			f(pg.base+word.Addr(slot*size), size, al)
+		for slot := 0; slot < PageWords/size; slot++ {
+			f(pg.base+word.Addr(slot*size), size, a.allocated(pg, slot))
 		}
 	}
 }

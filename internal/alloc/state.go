@@ -1,5 +1,5 @@
 // Snapshot-state support (internal/snap): the allocator's mutable state is
-// the static/heap break points, the per-page allocation bitmaps, and the
+// the static/heap break points, the per-page allocation bits, and the
 // per-class free lists, bump cursors included. Free-list ORDER is part of
 // the state: allocation order after a restore must match the uninterrupted
 // run exactly, and the lists are LIFO stacks. The activity counters ride
@@ -33,13 +33,15 @@ func (a *Allocator) SaveState() *State {
 	s := &State{StaticBrk: a.staticBrk, HeapBase: a.heapBase, HeapBrk: a.heapBrk, Stats: a.stats}
 	// The dense page slice is already in ascending Base order, preserving
 	// the sorted-by-Base layout the map-backed allocator serialized.
+	// The allocation bits are saved one []bool per page, the form
+	// snapshots have always carried.
 	for i := range a.pages {
 		pg := &a.pages[i]
-		s.Pages = append(s.Pages, PageState{
-			Base:      pg.base,
-			Class:     pg.class,
-			Allocated: append([]bool(nil), pg.allocated...),
-		})
+		al := make([]bool, PageWords>>classShift(pg.class))
+		for slot := range al {
+			al[slot] = a.allocated(pg, slot)
+		}
+		s.Pages = append(s.Pages, PageState{Base: pg.base, Class: pg.class, Allocated: al})
 	}
 	// A saved list holds the cursor's remaining slots at its bottom,
 	// highest address first, so that popping it hands out the allocator's
@@ -68,18 +70,23 @@ func (a *Allocator) RestoreState(s *State) {
 	a.heapBase = s.HeapBase
 	a.heapBrk = s.HeapBrk
 	a.stats = s.Stats
-	n := 0
-	if s.HeapBase != 0 {
-		n = int((uint64(s.HeapBrk) - uint64(s.HeapBase)) >> pageShift)
-	}
-	a.pages = make([]page, n)
+	// Pages are claimed contiguously from HeapBase, so the saved pages,
+	// sorted by Base, are exactly pages 0, 1, 2, ...; rebuilding them in
+	// that order gives each the same first bit it had when it was claimed.
+	a.pages, a.bits = nil, nil
 	for i := range s.Pages {
 		ps := &s.Pages[i]
-		a.pages[(uint64(ps.Base)-uint64(s.HeapBase))>>pageShift] = page{
-			base:      ps.Base,
-			class:     ps.Class,
-			allocated: append([]bool(nil), ps.Allocated...),
+		if ps.Base != s.HeapBase+word.Addr(i)<<pageShift {
+			panic("alloc: RestoreState heap pages are not contiguous from the heap base")
 		}
+		a.pages = append(a.pages, page{base: ps.Base, class: ps.Class, bit: a.claimBits(ps.Class)})
+		pg := &a.pages[i]
+		for slot, al := range ps.Allocated {
+			a.setAllocated(pg, slot, al)
+		}
+	}
+	if s.HeapBase != 0 && len(a.pages) != int((uint64(s.HeapBrk)-uint64(s.HeapBase))>>pageShift) {
+		panic("alloc: RestoreState page count does not match the heap extent")
 	}
 	// Every saved slot goes back on the free list and the cursors start
 	// empty: the list pops in the order the cursor would have bumped, and

@@ -21,7 +21,7 @@ type Options struct {
 	MeasureMs float64
 	WarmupMs  float64
 	Seed      uint64
-	// Progress, if non-nil, receives one line per completed point.
+	// Progress, if non-nil, receives one line per delivered point.
 	Progress io.Writer
 	// Profile enables the virtual-cycle profiler on every point (fills
 	// Result.Profile / Result.Folded; never changes simulated results).
@@ -34,16 +34,20 @@ type Options struct {
 	// scans walk every frame word and register as the seed did.
 	// Experiments that own the ablation (E16) override it per variant.
 	NoScanElide bool
-	// Collect, if non-nil, observes every completed point as it finishes:
-	// the series label (scheme or variant), the thread count, and the
-	// full Result. The JSON exporter hooks in here.
+	// Collect, if non-nil, observes every point: the series label
+	// (scheme or variant), the thread count, and the full Result. Points
+	// are delivered in axis order, in groups of at least one per worker
+	// once the whole group has finished, not each as it finishes; no
+	// point simulates while Collect runs (runPoints). The JSON exporter
+	// hooks in here.
 	Collect func(series string, threads int, res *Result)
 	// Ctx, if non-nil, cancels the sweep: between points always, and at
 	// scheduling-decision boundaries inside a point via RunContext. The
 	// sweep returns the context's error; points already collected stand.
 	Ctx context.Context
 
-	// workers is how many points run at once (runPoints); 0 means
+	// workers is how many points run at once and the fewest a delivered
+	// group holds short of a sweep's end or failure (runPoints); 0 means
 	// GOMAXPROCS. Tests set it to check that results do not depend on it.
 	workers int
 }
